@@ -48,7 +48,10 @@ from repro.build_info import build_mode, check_required
 #: v5: added the ``compiled`` section (SoA vs object-model bank state,
 #: lockstep-checked; build-mode provenance) and the top-level ``build``
 #: field recording interpreted vs compiled for every section's numbers.
-BENCH_SCHEMA_VERSION = 5
+#: v6: ``topology.e2e`` reports banked/flat wall time per engine event as
+#: the median of interleaved repeats (``banked_per_event_x``), replacing
+#: the single flat-then-banked wall ratio ``banked_overhead_x``.
+BENCH_SCHEMA_VERSION = 6
 
 #: selectable benchmark sections (``repro-perf [section]``)
 SECTIONS = ("decision", "substrate", "engine", "topology", "compiled", "e2e")
@@ -179,7 +182,7 @@ def run_perf(quick: bool = False, label: str = "dev",
             payload["engine"] = run_engine_section(quick=quick, seed=seed)
         if "topology" in sections:
             payload["topology"] = run_topology_section(quick=quick,
-                                                       jobs=jobs, seed=seed)
+                                                       seed=seed)
         if "compiled" in sections:
             payload["compiled"] = run_compiled_section(quick=quick, seed=seed)
         if "e2e" in sections:
@@ -266,8 +269,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"bus wait {row['mean_bus_wait_ps']:>9.0f} ps  "
                   f"({row['per_s']:.0f}/s)")
         te = topo["e2e"]
-        print(f"  topology e2e: flat {te['flat_wall_s']:.1f}s -> banked "
-              f"{te['banked_wall_s']:.1f}s  x{te['banked_overhead_x']:.2f}  "
+        print(f"  topology e2e per event: flat {te['flat_us_per_event']:.1f}"
+              f"us -> banked {te['banked_us_per_event']:.1f}us  "
+              f"x{te['banked_per_event_x']:.2f} (median of "
+              f"{te['repeats']}: {te['banked_per_event_ratios']})  "
               f"({te['banked_rank_switches']} rank switches)")
     if "compiled" in data:
         comp = data["compiled"]

@@ -5,10 +5,15 @@ Two questions, one section:
 * **What does the banked off-chip model cost?**  The flat model is a
   two-line queue update; the banked model decodes the address and runs a
   full substrate ``issue()``.  A fetch-loop micro times both on an
-  identical address stream, and a small end-to-end grid through the real
-  experiment machinery measures the whole-stack overhead of switching
-  ``mainmem.model`` — the number that justifies flat staying the
-  default.
+  identical address stream, and a small end-to-end grid measures the
+  whole-stack cost of switching ``mainmem.model`` — the number that
+  justifies flat staying the default.  The grid times only the timed
+  simulation (every point restores one shared functional warm-up) and
+  divides wall time by engine events, because flat and banked runs
+  simulate different event counts; flat and banked grids alternate
+  which goes first over several repeats, and the median ratio is the
+  reported overhead, so neither run order nor one noisy repeat decides
+  it.
 * **Does the topology behave like a topology?**  A channel-scaling curve
   runs the same stream through banked memories with 1/2/4 channels and
   reports the *simulated* mean read latency: more channels must relieve
@@ -23,13 +28,18 @@ queues behind every earlier one on its channel.
 from __future__ import annotations
 
 import random
+import statistics
 import time
 from dataclasses import replace
 
 from repro.config import MainMemoryConfig
-from repro.experiments.common import DESIGNS, ResultStore, RunSpec, SimParams, run_grid
+from repro.experiments.common import DESIGNS, RunSpec, SimParams, build_system
 from repro.mem.mainmem import make_mainmem
 from repro.sim.engine import Simulator
+from repro.snapshot import WarmState
+
+#: interleaved flat/banked repeats behind the end-to-end median
+E2E_REPEATS = 3
 
 
 def _sink(addr: object) -> None:
@@ -52,8 +62,73 @@ def _time_fetch_loop(cfg: MainMemoryConfig, addrs: list[int]
     return time.perf_counter() - t0, mm
 
 
-def run_topology_section(quick: bool = False, jobs: int = 1,
-                         seed: int = 0) -> dict:
+def _time_grid(specs: list[RunSpec], params: SimParams,
+               warm: WarmState) -> tuple[float, int, int]:
+    """``(wall s, engine events, mainmem rank switches)`` of the timed
+    simulations of ``specs``, each restored from ``warm``."""
+    wall = 0.0
+    events = rank_switches = 0
+    for spec in specs:
+        system = build_system(spec, params)
+        system.restore_warm_state(warm)
+        t0 = time.perf_counter()
+        system.begin(params.warmup_insts, params.measure_insts,
+                     functional_warmup=False)
+        result = system.finish()
+        wall += time.perf_counter() - t0
+        events += system.sim.events_run
+        rank_switches += result.metrics.get(
+            "mainmem_total", {}).get("rank_switches", 0)
+    return wall, events, rank_switches
+
+
+def run_topology_e2e() -> dict:
+    """Banked over flat wall time per engine event on the quick mix-1 grid."""
+    params = SimParams.quick()
+    grids = {
+        "flat": [RunSpec(d, "sa", mix_id=1) for d in DESIGNS],
+        "banked": [RunSpec(d, "sa", mix_id=1,
+                           config=(("mainmem.model", "banked"),))
+                   for d in DESIGNS],
+    }
+    # Main memory is masked out of the warm-up, so one functional warm-up
+    # serves every point of both grids.
+    donor = build_system(grids["flat"][0], params)
+    donor.functional_warmup(replay_accesses=params.replay_accesses)
+    warm = donor.capture_warm_state()
+    per_event: dict[str, list[float]] = {"flat": [], "banked": []}
+    walls = {"flat": 0.0, "banked": 0.0}
+    # Simulated counts are identical in every repeat.
+    events = {"flat": 0, "banked": 0}
+    rank_switches = {"flat": 0, "banked": 0}
+    for r in range(E2E_REPEATS):
+        for model in (("flat", "banked") if r % 2 == 0
+                      else ("banked", "flat")):
+            wall, events[model], rank_switches[model] = _time_grid(
+                grids[model], params, warm)
+            per_event[model].append(wall / events[model])
+            walls[model] += wall
+    ratios = [b / f for f, b in zip(per_event["flat"], per_event["banked"])]
+    return {
+        "points": len(grids["flat"]),
+        "designs": list(DESIGNS),
+        "params": "quick",
+        "repeats": E2E_REPEATS,
+        "flat_wall_s": round(walls["flat"], 3),
+        "banked_wall_s": round(walls["banked"], 3),
+        "flat_events": events["flat"],
+        "banked_events": events["banked"],
+        "flat_us_per_event": round(
+            statistics.median(per_event["flat"]) * 1e6, 3),
+        "banked_us_per_event": round(
+            statistics.median(per_event["banked"]) * 1e6, 3),
+        "banked_per_event_ratios": [round(x, 3) for x in ratios],
+        "banked_per_event_x": round(statistics.median(ratios), 3),
+        "banked_rank_switches": rank_switches["banked"],
+    }
+
+
+def run_topology_section(quick: bool = False, seed: int = 0) -> dict:
     """Benchmark the mainmem models; JSON-ready summary."""
     n = 20_000 if quick else 200_000
     addrs = _make_addrs(n, seed + 137)
@@ -85,40 +160,10 @@ def run_topology_section(quick: bool = False, jobs: int = 1,
             "rank_switches": mm.total_stats().rank_switches,
         })
 
-    # End-to-end: the same small grid, flat vs banked, through run_grid.
-    specs = [RunSpec(d, "sa", mix_id=1) for d in DESIGNS]
-    banked_specs = [RunSpec(d, "sa", mix_id=1,
-                            config=(("mainmem.model", "banked"),))
-                    for d in DESIGNS]
-    params = SimParams.quick()
-
-    def timed_grid(grid_specs: list[RunSpec]) -> tuple[float, dict]:
-        store = ResultStore(enabled=False)
-        t0 = time.perf_counter()
-        results = run_grid(grid_specs, params, jobs=jobs, use_cache=False,
-                           store=store)
-        return time.perf_counter() - t0, results
-
-    flat_wall, _flat_res = timed_grid(specs)
-    banked_wall, banked_res = timed_grid(banked_specs)
-    rank_switches = sum(r.metrics["mainmem_total"]["rank_switches"]
-                        for r in banked_res.values())
-    e2e = {
-        "points": len(specs),
-        "designs": list(DESIGNS),
-        "params": "quick",
-        "jobs": jobs,
-        "flat_wall_s": round(flat_wall, 3),
-        "banked_wall_s": round(banked_wall, 3),
-        "banked_overhead_x": (round(banked_wall / flat_wall, 3)
-                              if flat_wall else 0.0),
-        "banked_rank_switches": rank_switches,
-    }
-
     latencies = [row["mean_read_latency_ps"] for row in scaling]
     return {
         "fetch_loop": fetch_loop,
         "channel_scaling": scaling,
         "scaling_monotonic": latencies == sorted(latencies, reverse=True),
-        "e2e": e2e,
+        "e2e": run_topology_e2e(),
     }

@@ -6,16 +6,24 @@ victims at fill time.  Timing lives entirely in the controller + DRAM
 substrate; this module is purely functional and therefore shared verbatim
 by every controller design (CD / ROD / DCA see identical contents).
 
-Sets are materialised lazily in a dict keyed by set index: simulated
-workloads touch a sparse subset of the geometry's sets, and small Python
-lists with linear scans over <= 15 ways beat NumPy row indexing at this
-scale.
+The set-associative organization is a fixed-shape table (Loh–Hill: every
+set has the same ``ways``), stored as three flat columns indexed
+``set * ways + way``: tags in an ``array('q')`` (-1 = invalid way), dirty
+bits in a ``bytearray`` and LRU stamps in an ``array('q')``.  The columns
+hold raw integers, not Python objects, so the cyclic garbage collector
+has nothing in them to traverse however many sets the table holds (see
+DESIGN.md "Snapshot/restore").  One set is the ``ways``-long segment
+starting at ``set * ways``; the warm-up prefill scatters into the
+columns through NumPy views, and warm-state capture is three ``bytes``
+copies.  The direct-mapped organization keeps a dict of ``(tag, dirty)``
+per entry.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -43,9 +51,10 @@ class FillResult:
     victim_dirty: bool = False
 
 
-# Shared immutable miss result: probe() runs once per functional access
-# and most probes miss cold structures, so skipping the dataclass
-# construction there is a measurable win.
+# Shared immutable results: probe() runs once per functional access and
+# a frozen dataclass's __init__ was a measurable share of the end-to-end
+# profile, so misses share one instance and hits index a per-array table
+# (see DRAMCacheArray._hit_results).
 _MISS = LookupResult(False)
 
 
@@ -62,195 +71,6 @@ def _last_of_group_mask(sorted_keys: NDArray[np.int64],
     gidx = np.cumsum(group_start) - 1
     ends = np.cumsum(np.bincount(gidx))
     return (ends[gidx] - np.arange(n)) <= limit
-
-
-class _SASet:
-    """One set of the set-associative organization."""
-
-    __slots__ = ("tags", "dirty", "stamp")
-
-    def __init__(self, ways: int):
-        self.tags: list[int] = [-1] * ways
-        self.dirty: list[bool] = [False] * ways
-        self.stamp: list[int] = [0] * ways   # LRU: larger = more recent
-
-    def clone(self) -> "_SASet":
-        s = _SASet.__new__(_SASet)
-        s.tags = self.tags[:]
-        s.dirty = self.dirty[:]
-        s.stamp = self.stamp[:]
-        return s
-
-    def __deepcopy__(self, memo: dict[int, Any]) -> "_SASet":
-        # Elements are scalars: a slice copy is semantically identical to
-        # the generic element-wise deepcopy and ~4x faster, which is what
-        # bounds full-simulator snapshot cost (the set dict dominates).
-        s = self.clone()
-        memo[id(self)] = s
-        return s
-
-
-class _CowSets(dict[int, _SASet]):
-    """Copy-on-access overlay over a frozen ``{set_idx: _SASet}`` backing.
-
-    Warm-state forking hands the *same* captured set dictionary to every
-    restored simulation; copying all of it eagerly would cost more than
-    the functional warm-up it replaces for large footprints.  Instead the
-    restored array starts with an empty overlay: any set it touches is
-    cloned out of the backing on first access, so the restore is O(1) and
-    each run pays only for the sets its traffic actually reaches.
-
-    The backing dict is frozen by contract — it is only ever produced by
-    :meth:`DRAMCacheArray.capture_state`, which simultaneously re-points
-    the donor array at its own fresh overlay, so no live array can mutate
-    a backing.  All reads go through :meth:`get`/``[]`` (the only lookup
-    forms the array uses), both of which materialise; new sets insert
-    straight into the overlay.
-    """
-
-    __slots__ = ("_backing",)
-
-    def __init__(self, backing: dict[int, _SASet]):
-        super().__init__()
-        self._backing = backing
-
-    # -- lookups (materialising) ------------------------------------------------
-
-    def get(self, key: int,  # type: ignore[override]
-            default: Optional[_SASet] = None) -> Optional[_SASet]:
-        s = dict.get(self, key)
-        if s is not None:
-            return s
-        b = self._backing.get(key)
-        if b is None:
-            return default
-        s = b.clone()
-        dict.__setitem__(self, key, s)
-        return s
-
-    def __getitem__(self, key: int) -> _SASet:
-        s = self.get(key)
-        if s is None:
-            raise KeyError(key)
-        return s
-
-    def __contains__(self, key: object) -> bool:
-        return dict.__contains__(self, key) or key in self._backing
-
-    # -- whole-dict views (tests / invariants; not on the hot path) -------------
-    #
-    # Every inherited dict form that would silently see only the overlay
-    # is either overridden to present the merged view or forbidden, so
-    # the "all reads go through get/[]" contract is enforced, not merely
-    # documented.
-
-    def __len__(self) -> int:
-        n = dict.__len__(self)
-        return n + sum(1 for k in self._backing if not dict.__contains__(self, k))
-
-    def __iter__(self) -> Iterator[int]:
-        yield from dict.__iter__(self)
-        for k in self._backing:
-            if not dict.__contains__(self, k):
-                yield k
-
-    def keys(self) -> list[int]:  # type: ignore[override]
-        """Merged key list (a plain list, not a live dict view)."""
-        return list(self)
-
-    def items(self) -> list[tuple[int, _SASet]]:  # type: ignore[override]
-        """Merged ``(key, set)`` pairs; materialises backing sets."""
-        return [(k, self[k]) for k in self]
-
-    def values(self) -> list[_SASet]:  # type: ignore[override]
-        return [self[k] for k in self]
-
-    def copy(self) -> dict[int, _SASet]:
-        """A plain, fully-independent dict of the merged view."""
-        return self.frozen_merge()
-
-    def __eq__(self, other: object) -> bool:
-        """Value equality over the merged view (sets compared by content,
-        since ``_SASet`` itself compares by identity)."""
-        if not isinstance(other, dict):
-            return NotImplemented
-
-        def contents(items: Iterable[tuple[int, _SASet]],
-                     ) -> dict[int, tuple[Any, Any, Any]]:
-            return {k: (tuple(s.tags), tuple(s.dirty), tuple(s.stamp))
-                    for k, s in items}
-
-        other_items = (other.peek_items() if isinstance(other, _CowSets)
-                       else other.items())
-        return contents(self.peek_items()) == contents(other_items)
-
-    __hash__ = None   # type: ignore[assignment]  # as for any dict
-
-    def __ne__(self, other: object) -> bool:
-        # Explicit: dict's C-level != would bypass the merged-view __eq__.
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    def _unsupported(self, *_a: Any, **_kw: Any) -> Any:
-        raise NotImplementedError(
-            "mutation of a copy-on-write set view beyond get/[]= is not "
-            "supported (see _CowSets)")
-
-    pop = popitem = setdefault = update = clear = __delitem__ = _unsupported  # type: ignore[assignment]
-
-    def peek(self, key: int) -> Optional[_SASet]:
-        """Read-only lookup: never materialises a backing set.
-
-        The returned set may belong to the frozen backing — callers must
-        not mutate it (mutating paths go through :meth:`get`/``[]``,
-        which clone).  Keeps pure reads like ``probe()`` from converging
-        a mostly-read fork toward a full copy.
-        """
-        s = dict.get(self, key)
-        if s is not None:
-            return s
-        return self._backing.get(key)
-
-    def peek_items(self) -> Iterator[tuple[int, _SASet]]:
-        """Iterate the merged view *without* materialising backing sets.
-
-        For read-only inspection (signatures, invariants): yielded backing
-        sets must not be mutated.
-        """
-        yield from dict.items(self)
-        for k, b in self._backing.items():
-            if not dict.__contains__(self, k):
-                yield k, b
-
-    def frozen_merge(self) -> dict[int, _SASet]:
-        """A plain, independent ``{set_idx: _SASet}`` copy of the full view.
-
-        Used to produce a new frozen backing when a warm capture is taken
-        from an array that is itself running over an older backing.
-        """
-        out = {k: s.clone() for k, s in dict.items(self)}
-        for k, b in self._backing.items():
-            if k not in out:
-                out[k] = b.clone()
-        return out
-
-    def __deepcopy__(self, memo: dict[int, Any]) -> "_CowSets":
-        # The backing is frozen, so the copy may share it; only the
-        # overlay (this run's private mutations) needs copying.
-        new = _CowSets(self._backing)
-        memo[id(self)] = new
-        for k, s in dict.items(self):
-            dict.__setitem__(new, k, s.clone())
-        return new
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        # Pickled snapshots are process-portable plain dicts: sharing a
-        # backing across a process boundary is meaningless.
-        return (_cow_sets_from_plain, (self.frozen_merge(),))
-
-
-def _cow_sets_from_plain(sets: dict[int, _SASet]) -> "_CowSets":
-    return _CowSets(sets)
 
 
 class DRAMCacheArray:
@@ -290,9 +110,16 @@ class DRAMCacheArray:
         # a measurable share of the end-to-end profile.
         self._block_bytes = geometry.block_bytes
         self._num_sets = self.sa.num_sets
+        self._ways = ways = self.sa.ways
         self._num_entries = self.dm.num_entries
-        # Lazy state.
-        self._sa_sets: dict[int, _SASet] = {}
+        # ``_hit_results[2 * way + dirty]`` is the hit result for ``way``.
+        self._hit_results = tuple(LookupResult(True, w, d)
+                                  for w in range(ways) for d in (False, True))
+        # Set-associative columns, indexed set * ways + way (empty for dm).
+        slots = self._num_sets * ways if organization == "sa" else 0
+        self._tags = array("q", [-1]) * slots    # -1 = invalid way
+        self._dirty = bytearray(slots)
+        self._stamp = array("q", bytes(8 * slots))   # LRU: larger = newer
         self._dm_entries: dict[int, tuple[int, bool]] = {}  # idx -> (tag, dirty)
         self._clock = 0  # LRU stamp source
         # Functional counters (used by tests and the Fig. 18 harness).
@@ -312,6 +139,12 @@ class DRAMCacheArray:
 
     # -- probes (no replacement-state side effects) ----------------------------
 
+    def _segment(self, addr: int) -> tuple[int, int]:
+        """``(first column index of addr's set, addr's tag)`` (SA only)."""
+        b = addr // self._block_bytes
+        n = self._num_sets
+        return (b % n) * self._ways, b // n
+
     def probe(self, addr: int) -> LookupResult:
         """Hit/miss/dirty query with no state change."""
         b = addr // self._block_bytes
@@ -319,25 +152,17 @@ class DRAMCacheArray:
             n = self._num_entries
             ent = self._dm_entries.get(b % n)
             if ent is not None and ent[0] == b // n:
-                return LookupResult(True, 0, ent[1])
+                return self._hit_results[ent[1]]
             return _MISS
-        sets = self._sa_sets
         n = self._num_sets
-        si = b % n
-        # A pure read must stay pure on a restored (copy-on-write) array
-        # too: peek never materialises, so probes don't converge a
-        # mostly-read fork toward a full copy.
-        s = (sets.peek(si) if type(sets) is _CowSets else sets.get(si))
-        if s is None:
+        base = (b % n) * self._ways
+        # array.index scans the set's segment at C speed; a miss costs
+        # one caught ValueError, still cheaper than slicing the segment.
+        try:
+            i = self._tags.index(b // n, base, base + self._ways)
+        except ValueError:
             return _MISS
-        tag = b // n
-        tags = s.tags
-        # list.__contains__ / index scan the 15 ways at C speed; the
-        # double scan on a hit still beats an interpreted enumerate loop.
-        if tag in tags:
-            w = tags.index(tag)
-            return LookupResult(True, w, s.dirty[w])
-        return _MISS
+        return self._hit_results[2 * (i - base) + self._dirty[i]]
 
     # -- timed-path operations (called at access completion times) -------------
 
@@ -361,13 +186,12 @@ class DRAMCacheArray:
         res = self.probe(addr)
         if res.hit:
             self.hits += 1
-            b = self._block(addr)
             if self.is_direct_mapped:
+                b = self._block(addr)
                 idx = self.dm.entry_index(b)
                 self._dm_entries[idx] = (self.dm.tag_value(b), True)
             else:
-                s = self._sa_sets[self.sa.set_index(b)]
-                s.dirty[res.way] = True
+                self._dirty[self._segment(addr)[0] + res.way] = 1
                 self._touch(addr, res.way)
         return res
 
@@ -378,8 +202,8 @@ class DRAMCacheArray:
         can generate the victim's main-memory writeback when it was dirty.
         """
         self.fills += 1
-        b = self._block(addr)
         if self.is_direct_mapped:
+            b = self._block(addr)
             idx = self.dm.entry_index(b)
             old = self._dm_entries.get(idx)
             self._dm_entries[idx] = (self.dm.tag_value(b), dirty)
@@ -390,60 +214,61 @@ class DRAMCacheArray:
                 self.dirty_evictions += 1
             return FillResult(0, victim_addr, old[1])
 
-        set_idx = self.sa.set_index(b)
-        s = self._sa_sets.get(set_idx)
-        if s is None:
-            s = _SASet(self.sa.ways)
-            self._sa_sets[set_idx] = s
-        tag = self.sa.tag_value(b)
-        tags = s.tags
-        # Refill of a block already present (e.g. race with a concurrent
-        # writeback-allocate) just refreshes it.
-        if tag in tags:
-            w = tags.index(tag)
-            s.dirty[w] = s.dirty[w] or dirty
-            self._touch(addr, w)
-            return FillResult(w)
+        base, tag = self._segment(addr)
+        end = base + self._ways
+        tags, dirt, stamp = self._tags, self._dirty, self._stamp
+        try:
+            # Refill of a block already present (e.g. race with a
+            # concurrent writeback-allocate) just refreshes it.
+            i = tags.index(tag, base, end)
+        except ValueError:
+            pass
+        else:
+            if dirty:
+                dirt[i] = 1
+            self._clock += 1
+            stamp[i] = self._clock
+            return FillResult(i - base)
         # Prefer an invalid way; otherwise the configured policy picks
         # among valid ways (stamps are unique, so the default LRU's
         # index-of-min is the unambiguous oldest way).
-        if -1 in tags:
-            victim_way = tags.index(-1)
-        else:
-            victim_way = self._victim_way(tags, s.dirty, s.stamp)
-        old_tag = s.tags[victim_way]
-        old_dirty = s.dirty[victim_way]
-        s.tags[victim_way] = tag
-        s.dirty[victim_way] = dirty
+        try:
+            i = tags.index(-1, base, end)
+        except ValueError:
+            i = base + self._victim_way(tags[base:end], dirt[base:end],
+                                        stamp[base:end])
+        old_tag = tags[i]
+        old_dirty = bool(dirt[i])
+        tags[i] = tag
+        dirt[i] = dirty
         self._clock += 1
-        s.stamp[victim_way] = self._clock
+        stamp[i] = self._clock
         if old_tag == -1:
-            return FillResult(victim_way)
-        victim_addr = self.sa.block_addr(set_idx, old_tag) * self.geometry.block_bytes
+            return FillResult(i - base)
+        set_idx = base // self._ways
+        victim_addr = self.sa.block_addr(set_idx, old_tag) * self._block_bytes
         if old_dirty:
             self.dirty_evictions += 1
-        return FillResult(victim_way, victim_addr, old_dirty)
+        return FillResult(i - base, victim_addr, old_dirty)
 
     def invalidate(self, addr: int) -> bool:
         """Drop a block (used by tests and coherence-style experiments)."""
-        b = self._block(addr)
         if self.is_direct_mapped:
+            b = self._block(addr)
             idx = self.dm.entry_index(b)
             ent = self._dm_entries.get(idx)
             if ent is not None and ent[0] == self.dm.tag_value(b):
                 del self._dm_entries[idx]
                 return True
             return False
-        s = self._sa_sets.get(self.sa.set_index(b))
-        if s is None:
+        base, tag = self._segment(addr)
+        try:
+            i = self._tags.index(tag, base, base + self._ways)
+        except ValueError:
             return False
-        tag = self.sa.tag_value(b)
-        for w, t in enumerate(s.tags):
-            if t == tag:
-                s.tags[w] = -1
-                s.dirty[w] = False
-                return True
-        return False
+        self._tags[i] = -1
+        self._dirty[i] = 0
+        return True
 
     # -- warm-up ----------------------------------------------------------------
 
@@ -483,37 +308,23 @@ class DRAMCacheArray:
         starts = [0, *boundaries.tolist()]
         ends = [*boundaries.tolist(), len(sets_sorted)]
         set_ids = sets_sorted[np.concatenate(([0], boundaries))].tolist()
-        ways = self.sa.ways
-        sa_sets = self._sa_sets
-        sa_get = sa_sets.get
-        new_set = _SASet.__new__
+        ways = self._ways
+        tags_col, dirty_col, stamp_col = self._tags, self._dirty, self._stamp
         clock = self._clock
         dirty_evictions = self.dirty_evictions
-        empty_tags = [-1] * ways
-        empty_dirty = [False] * ways
-        empty_stamp = [0] * ways
+        empty_tags = array("q", [-1]) * ways
+        empty_stamp = array("q", bytes(8 * ways))
         for sid, lo, hi in zip(set_ids, starts, ends):
             # LRU semantics over (existing contents + this range): only
             # the last `ways` inserts of the group can survive, so the
             # earlier ones are skipped outright (no clock tick, no
             # eviction), exactly as if each block had been filled once.
             lo = hi - ways if hi - lo > ways else lo
-            cnt = hi - lo
-            s = sa_get(sid)
-            if s is None:
-                # Fresh set: the group is the whole contents.
-                s = new_set(_SASet)
-                s.stamp = list(range(clock + 1, clock + 1 + cnt)) \
-                    + empty_stamp[cnt:]
-                s.tags = tags_sorted[lo:hi] + empty_tags[cnt:]
-                s.dirty = dirty_sorted[lo:hi] + empty_dirty[cnt:]
-                clock += cnt
-                sa_sets[sid] = s
-                continue
-            stags = s.tags
-            merged = list(zip(s.stamp, stags, s.dirty)) \
-                if -1 not in stags else \
-                [t for t in zip(s.stamp, stags, s.dirty) if t[1] != -1]
+            base = sid * ways
+            end = base + ways
+            # Valid ways in way order, then this range's inserts.
+            merged = [t for t in zip(stamp_col[base:end], tags_col[base:end],
+                                     dirty_col[base:end]) if t[1] != -1]
             for k in range(lo, hi):
                 clock += 1
                 merged.append((clock, tags_sorted[k], dirty_sorted[k]))
@@ -528,11 +339,14 @@ class DRAMCacheArray:
                         dirty_evictions += 1
                 del merged[:m - ways]
                 m = ways
-            s.stamp[:m], s.tags[:m], s.dirty[:m] = zip(*merged)  # type: ignore[assignment]
+            stamps, tags_m, dirty_m = zip(*merged)
+            stamp_col[base:base + m] = array("q", stamps)
+            tags_col[base:base + m] = array("q", tags_m)
+            dirty_col[base:base + m] = bytes(dirty_m)
             if m < ways:
-                s.tags[m:] = empty_tags[m:]
-                s.dirty[m:] = empty_dirty[m:]
-                s.stamp[m:] = empty_stamp[m:]
+                stamp_col[base + m:end] = empty_stamp[m:]
+                tags_col[base + m:end] = empty_tags[m:]
+                dirty_col[base + m:end] = bytes(ways - m)
         self._clock = clock
         self.dirty_evictions = dirty_evictions
 
@@ -545,8 +359,8 @@ class DRAMCacheArray:
         same insertion-clock values, same ``dirty_evictions`` count.
 
         On an untouched set-associative array (the warm-up case) the
-        whole batch is grouped by set once and each set is constructed in
-        a single shot, so a set shared by every range is visited once
+        whole batch is grouped by set once and scattered into the columns
+        in a single shot, so a set shared by every range is written once
         instead of ``len(fills)`` times.  The fusion is exact because the
         sequential calls interact only through LRU state: per call, only
         the last ``ways`` inserts of a set's group can survive (earlier
@@ -555,18 +369,16 @@ class DRAMCacheArray:
         newest ``ways`` stamps, with every insert that was stamped but
         later displaced counting its dirty bit exactly once.
         """
-        # The fused path assumes a pristine array; a _CowSets overlay can
-        # be empty while its frozen backing is not, so require the exact
-        # plain-dict type as well as emptiness.
-        if (self.is_direct_mapped or type(self._sa_sets) is not dict
-                or self._sa_sets):
+        # The fused path assumes a pristine array.  Every insert ticks the
+        # clock, so a zero clock means no way has ever been written.
+        if self.is_direct_mapped or self._clock:
             for start_addr, n_blocks, dirty_fraction, seed in fills:
                 self.bulk_fill(start_addr, n_blocks,
                                dirty_fraction=dirty_fraction, seed=seed)
             return
 
-        num_sets = self.sa.num_sets
-        ways = self.sa.ways
+        num_sets = self._num_sets
+        ways = self._ways
         clock0 = self._clock
         assigned = 0                      # clipped inserts stamped so far
         sid_parts: list[NDArray[np.int64]] = []
@@ -625,30 +437,15 @@ class DRAMCacheArray:
         group_start[0] = True
         np.not_equal(sid[1:], sid[:-1], out=group_start[1:])
         starts = np.flatnonzero(group_start)
-        gidx = np.cumsum(group_start) - 1
-        col = np.arange(n) - starts[gidx]
-        rows = len(starts)
-        # Dense (set, way) scatter, then one tolist() per field: the
-        # stamp-ascending layout matches what repeated bulk_fill leaves
-        # (appends in stamp order; overflow re-sorts by stamp).
-        tags_mat = np.full((rows, ways), -1, dtype=np.int64)
-        dirty_mat = np.zeros((rows, ways), dtype=bool)
-        stamp_mat = np.zeros((rows, ways), dtype=np.int64)
-        tags_mat[gidx, col] = tag
-        dirty_mat[gidx, col] = drt
-        stamp_mat[gidx, col] = stp
-        set_ids = sid[starts].tolist()
-        tag_rows = tags_mat.tolist()
-        dirty_rows = dirty_mat.tolist()
-        stamp_rows = stamp_mat.tolist()
-        new_set = _SASet.__new__
-        sa_sets = self._sa_sets
-        for j, sid_j in enumerate(set_ids):
-            s = new_set(_SASet)
-            s.tags = tag_rows[j]
-            s.dirty = dirty_rows[j]
-            s.stamp = stamp_rows[j]
-            sa_sets[sid_j] = s
+        col = np.arange(n) - starts[np.cumsum(group_start) - 1]
+        # Survivors take ways 0.. of their set in stamp-ascending order,
+        # which is what repeated bulk_fill leaves (appends in stamp order;
+        # overflow re-sorts by stamp); the rest of a pristine set stays
+        # invalid.  The NumPy views write straight into the columns.
+        slot = sid * ways + col
+        np.frombuffer(self._tags, dtype=np.int64)[slot] = tag
+        np.frombuffer(self._dirty, dtype=np.uint8)[slot] = drt
+        np.frombuffer(self._stamp, dtype=np.int64)[slot] = stp
 
     # -- snapshot hooks (see repro/snapshot.py and DESIGN.md) -------------------
 
@@ -656,68 +453,71 @@ class DRAMCacheArray:
         """Value-only digest of the functional contents (snapshot tests).
 
         Deterministically ordered and identity-free, so signatures of
-        independent copies compare equal iff the contents match; never
-        materialises copy-on-write sets.
+        independent copies compare equal iff the contents match.  The
+        set-associative form lists ``(set, tags, dirty, stamps)`` for
+        every set that differs from an untouched one, in set order.
         """
         if self.is_direct_mapped:
             return ("dm", self._clock, sorted(self._dm_entries.items()))
-        sets = self._sa_sets
-        items = (sets.peek_items() if isinstance(sets, _CowSets)
-                 else sets.items())
+        ways = self._ways
+        tags = np.frombuffer(self._tags, dtype=np.int64).reshape(-1, ways)
+        dirty = np.frombuffer(self._dirty, dtype=np.bool_).reshape(-1, ways)
+        stamp = np.frombuffer(self._stamp, dtype=np.int64).reshape(-1, ways)
+        used = np.flatnonzero((tags != -1).any(1) | dirty.any(1)
+                              | stamp.any(1))
         return ("sa", self._clock,
-                sorted((k, tuple(s.tags), tuple(s.dirty), tuple(s.stamp))
-                       for k, s in items))
+                list(zip(used.tolist(), map(tuple, tags[used].tolist()),
+                         map(tuple, dirty[used].tolist()),
+                         map(tuple, stamp[used].tolist()))))
 
     def capture_state(self) -> dict[str, Any]:
         """Freeze the functional contents for warm-state forking.
 
-        Returns a state dict whose set-associative backing is *shared*
-        with this array: the array is simultaneously re-pointed at a
-        fresh copy-on-write overlay (:class:`_CowSets`), so the donor may
-        keep simulating while any number of restored arrays fork from the
-        frozen image — capture is O(1) in the set-associative case.
-        Direct-mapped entries are immutable tuples, so a plain dict copy
-        suffices there.
+        The set-associative image is the three columns as immutable
+        ``bytes``, so one capture can seed any number of restores (and
+        deep-copies or pickles as plain values) while the donor keeps
+        simulating.  Direct-mapped entries are immutable tuples, so a
+        plain dict copy suffices there.
         """
         state: dict[str, Any] = {"organization": self.organization,
                                  "clock": self._clock}
         if self.is_direct_mapped:
             state["dm"] = dict(self._dm_entries)
         else:
-            sets = self._sa_sets
-            if isinstance(sets, _CowSets):
-                backing = sets.frozen_merge()
-            else:
-                backing = sets
-            self._sa_sets = _CowSets(backing)
-            state["sa"] = backing
+            state["sa"] = (self._tags.tobytes(), bytes(self._dirty),
+                           self._stamp.tobytes())
         return state
 
     def restore_state(self, state: dict[str, Any]) -> None:
         """Adopt functional contents captured by :meth:`capture_state`.
 
-        The restored array reads through to the frozen image and copies
-        individual sets on first touch; the image itself is never
-        mutated, so one capture serves any number of restores and each
-        restored run is bit-identical to a run that did the functional
-        warm-up itself.
+        The columns are copied out of the image, which is never mutated,
+        so one capture serves any number of restores and each restored
+        run is bit-identical to a run that did the functional warm-up
+        itself.
         """
         if state["organization"] != self.organization:
             raise ValueError(
                 f"cannot restore {state['organization']!r} array state into "
                 f"a {self.organization!r} array")
-        self._clock = state["clock"]
         if self.is_direct_mapped:
             self._dm_entries = dict(state["dm"])
         else:
-            self._sa_sets = _CowSets(state["sa"])
+            tags_b, dirty_b, stamp_b = state["sa"]
+            tags, stamp = array("q", tags_b), array("q", stamp_b)
+            if not len(tags) == len(dirty_b) == len(stamp) == len(self._dirty):
+                raise ValueError(
+                    f"array state holds {len(dirty_b)} ways, this geometry "
+                    f"has {len(self._dirty)}")
+            self._tags, self._dirty, self._stamp = tags, bytearray(dirty_b), stamp
+        self._clock = state["clock"]
 
     def _touch(self, addr: int, way: int) -> None:
         if self.organization == "dm":
             return
-        s = self._sa_sets[(addr // self._block_bytes) % self._num_sets]
         self._clock += 1
-        s.stamp[way] = self._clock
+        b = addr // self._block_bytes
+        self._stamp[(b % self._num_sets) * self._ways + way] = self._clock
 
     # -- array-address helpers (where tag/data live in the stacked DRAM) -------
 

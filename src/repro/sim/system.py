@@ -487,8 +487,9 @@ class System:
         state (DRAM-cache contents, L2 contents, trace positions) that
         every controller design over the same (workload, seed, substrate)
         prefix shares, so one capture forks a whole design sweep.  The
-        set-associative array capture is O(1) copy-on-write — the donor
-        keeps simulating unperturbed (see ``DRAMCacheArray.capture_state``).
+        set-associative array is captured as immutable column bytes — the
+        donor keeps simulating unperturbed (see
+        ``DRAMCacheArray.capture_state``).
         """
         if self.sim.events_run or self.sim.now:
             raise WarmStateError(

@@ -63,14 +63,16 @@ from typing import Any, Optional
 #: v2: channel bus captures gained the last-burst rank (tCS turnaround)
 #: and the main-memory image is the model's own capture_state dict (flat
 #: bus_free or banked per-channel substrate state) instead of a bare int.
-SNAPSHOT_SCHEMA_VERSION = 2
+#: v3: the DRAM-cache array payload changed from a set dict to three byte strings.
+SNAPSHOT_SCHEMA_VERSION = 3
 
 #: Version of the :class:`WarmState` payload (independent of the full
 #: snapshot: warm states are a narrow, explicitly-enumerated subset).
 #: v2: identity gained the array replacement policy (``array_replacement``
 #: alongside the l2 geometry's own ``replacement`` field) — contents laid
 #: out under one victim policy must not seed a run using another.
-WARM_STATE_VERSION = 2
+#: v3: the DRAM-cache array payload changed from a set dict to three byte strings.
+WARM_STATE_VERSION = 3
 
 
 class SnapshotError(RuntimeError):
@@ -113,7 +115,7 @@ class WarmState:
     array_replacement: str
     #: trace operations each core consumed during the functional warm-up
     trace_counts: list[int]
-    #: ``DRAMCacheArray.capture_state()`` payload (CoW-shared backing)
+    #: ``DRAMCacheArray.capture_state()`` payload (immutable column bytes)
     array_state: dict
     #: ``SRAMCache.capture_state()`` payload
     l2_state: dict

@@ -1,5 +1,7 @@
 """Functional DRAM-cache array: hits, fills, LRU, dirty state, bulk fill."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -246,6 +248,43 @@ class TestBulkFillMany:
         for start, n, df, sd in fills:
             b.bulk_fill(start, n, dirty_fraction=df, seed=sd)
         assert _state(a) == _state(b)
+
+
+def _tracked_growth_after_prefill(size_bytes):
+    """GC-tracked objects added by building and over-filling an SA array."""
+    gc.collect()
+    before = len(gc.get_objects())
+    arr = DRAMCacheArray(DRAMCacheGeometry(size_bytes=size_bytes), "sa")
+    capacity = arr.sa.num_sets * arr.sa.ways
+    arr.bulk_fill_many([(0, 2 * capacity, 0.5, 1),
+                        (1 << 44, capacity, 0.5, 2)])
+    gc.collect()
+    return len(gc.get_objects()) - before, arr
+
+
+class TestLayout:
+    """The SA table is three flat, GC-untracked columns: a later change
+    must not bring back per-set containers or a mutable warm image."""
+
+    def test_prefill_adds_no_per_set_objects(self):
+        _tracked_growth_after_prefill(2 * 2**20)   # settle lazy imports
+        small, arr_small = _tracked_growth_after_prefill(2 * 2**20)
+        large, arr_large = _tracked_growth_after_prefill(32 * 2**20)
+        assert arr_large.sa.num_sets > 10 * arr_small.sa.num_sets
+        # Every set is full, yet growth is the same per-array constant.
+        assert abs(large - small) <= 8
+        assert large < 200
+
+    def test_capture_is_immutable_bytes(self, sa):
+        sa.bulk_fill(0, 3000, dirty_fraction=0.3, seed=1)
+        image = sa.capture_state()["sa"]
+        assert isinstance(image, tuple)
+        assert [type(col) for col in image] == [bytes, bytes, bytes]
+
+    def test_restore_rejects_other_geometry(self, sa):
+        other = DRAMCacheArray(DRAMCacheGeometry(size_bytes=4 * 2**20), "sa")
+        with pytest.raises(ValueError):
+            other.restore_state(sa.capture_state())
 
 
 @given(st.lists(st.integers(0, 300), min_size=1, max_size=200),

@@ -54,6 +54,13 @@ class TestHarness:
         assert dl_data["equivalence_checked"] is True
         assert len(dl_data["scenarios"]) == len(SCENARIOS)
         assert dl_data["geomean_speedup"] > 0
+        # Topology e2e: a median of interleaved, event-normalised repeats.
+        te = data["topology"]["e2e"]
+        assert te["repeats"] >= 3
+        assert len(te["banked_per_event_ratios"]) == te["repeats"]
+        assert (min(te["banked_per_event_ratios"]) <= te["banked_per_event_x"]
+                <= max(te["banked_per_event_ratios"]))
+        assert te["flat_events"] > 0 and te["banked_events"] > 0
 
 
 class TestSubstrateLoop:
@@ -145,3 +152,7 @@ class TestCheckFloor:
         guarded = {m.split(".")[0]
                    for m in (*floor["metrics"], *floor.get("ceilings", {}))}
         assert {"decision_loop", "topology", "compiled"} <= guarded
+        # The topology e2e gate is on the event-normalised median, not on
+        # a single flat-then-banked wall ratio.
+        assert "topology.e2e.banked_per_event_x" in floor["ceilings"]
+        assert "topology.e2e.banked_overhead_x" not in floor["ceilings"]

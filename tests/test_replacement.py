@@ -118,8 +118,11 @@ class TestSAArrayEviction:
 
     def test_lruc_victims_oldest_clean_way(self):
         arr = DRAMCacheArray(DRAMCacheGeometry(), "sa", replacement="lruc")
-        addrs, stride = fill_set0(arr, arr.sa.ways)
-        arr._sa_sets[0].dirty[0] = True    # oldest way dirty, stamps kept
+        stride = arr.sa.num_sets * arr.geometry.block_bytes
+        addrs = [k * stride for k in range(arr.sa.ways)]
+        arr.fill(addrs[0], dirty=True)     # oldest way dirty
+        for a in addrs[1:]:
+            arr.fill(a, dirty=False)
         res = arr.fill(arr.sa.ways * stride, dirty=False)
         assert res.victim_block_addr == addrs[1]
         assert not res.victim_dirty

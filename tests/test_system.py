@@ -61,7 +61,8 @@ class TestWarmup:
     def test_functional_warmup_fills_cache(self):
         s = small_system()
         s.functional_warmup(replay_accesses=500)
-        assert len(s.controller.array._sa_sets) > 0
+        _org, _clock, sets = s.controller.array.contents_signature()
+        assert len(sets) > 0
 
     def test_writebacks_need_l2_pressure(self):
         """A warmed L2 (full sets) is what produces dirty evictions."""
