@@ -13,9 +13,9 @@ bits in a ``bytearray`` and LRU stamps in an ``array('q')``.  The columns
 hold raw integers, not Python objects, so the cyclic garbage collector
 has nothing in them to traverse however many sets the table holds (see
 DESIGN.md "Snapshot/restore").  One set is the ``ways``-long segment
-starting at ``set * ways``; the warm-up prefill scatters into the
-columns through NumPy views, and warm-state capture is three ``bytes``
-copies.  The direct-mapped organization keeps a dict of ``(tag, dirty)``
+starting at ``set * ways``; the warm-up prefill computes each set's
+surviving blocks in closed form and writes them into the columns
+through NumPy views, and warm-state capture is three ``bytes`` copies.  The direct-mapped organization keeps a dict of ``(tag, dirty)``
 per entry.
 """
 
@@ -58,19 +58,25 @@ class FillResult:
 _MISS = LookupResult(False)
 
 
-def _last_of_group_mask(sorted_keys: NDArray[np.int64],
-                        limit: int) -> NDArray[np.bool_]:
-    """Mask keeping only the last ``limit`` elements of each run of equal
-    keys in an already key-sorted array."""
-    n = len(sorted_keys)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    group_start = np.empty(n, dtype=bool)
-    group_start[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=group_start[1:])
-    gidx = np.cumsum(group_start) - 1
-    ends = np.cumsum(np.bincount(gidx))
-    return (ends[gidx] - np.arange(n)) <= limit
+def _dirty_mask(blocks: NDArray[np.int64], seed: int,
+                dirty_fraction: float) -> NDArray[np.bool_]:
+    """Deterministic per-block dirty choice of a warm-up fill (Knuth
+    multiplicative hash of ``block + seed``)."""
+    h = ((blocks + seed) * np.int64(2654435761)) & np.int64(0xFFFFFFFF)
+    return (h >> 16).astype(np.float64) / 65536.0 < dirty_fraction
+
+
+def _survivor_counts(first: int, m: int, num_sets: int) -> NDArray[np.int64]:
+    """Per-set count of the blocks ``[first, first + m)``: ``m // num_sets``
+    each, plus one for the ``m % num_sets`` sets from ``first``'s onward
+    (cyclically)."""
+    q, r = divmod(m, num_sets)
+    counts = np.full(num_sets, q, dtype=np.int64)
+    a = first % num_sets
+    counts[a:a + r] += 1
+    if a + r > num_sets:
+        counts[:a + r - num_sets] += 1
+    return counts
 
 
 class DRAMCacheArray:
@@ -87,7 +93,7 @@ class DRAMCacheArray:
         Victim-selection policy for the set-associative organization
         (see :mod:`repro.cache.replacement`); direct-mapped placement
         has no choice and ignores it.  Applies to demand fills only —
-        the fused warm-up paths (:meth:`bulk_fill`/:meth:`bulk_fill_many`)
+        the warm-up paths (:meth:`bulk_fill`/:meth:`bulk_fill_many`)
         keep their LRU-insertion-order semantics under every policy
         (documented modeling assumption: warm-up populates, it does not
         exercise replacement).
@@ -287,9 +293,7 @@ class DRAMCacheArray:
             return
         start_block = start_addr // self.geometry.block_bytes
         blocks = np.arange(start_block, start_block + n_blocks, dtype=np.int64)
-        # Deterministic per-block dirty choice (Knuth multiplicative hash).
-        h = ((blocks + seed) * np.int64(2654435761)) & np.int64(0xFFFFFFFF)
-        dirty = (h >> 16).astype(np.float64) / 65536.0 < dirty_fraction
+        dirty = _dirty_mask(blocks, seed, dirty_fraction)
 
         if self.is_direct_mapped:
             idxs = blocks % self.dm.num_entries
@@ -351,26 +355,32 @@ class DRAMCacheArray:
         self.dirty_evictions = dirty_evictions
 
     def bulk_fill_many(self, fills: list[tuple[int, int, float, int]]) -> None:
-        """Apply several :meth:`bulk_fill` ranges in one fused pass.
+        """Apply several :meth:`bulk_fill` ranges in closed form.
 
         ``fills`` is a list of ``(start_addr, n_blocks, dirty_fraction,
         seed)`` tuples, applied with semantics identical to calling
         :meth:`bulk_fill` once per tuple in order — same final contents,
         same insertion-clock values, same ``dirty_evictions`` count.
 
-        On an untouched set-associative array (the warm-up case) the
-        whole batch is grouped by set once and scattered into the columns
-        in a single shot, so a set shared by every range is written once
-        instead of ``len(fills)`` times.  The fusion is exact because the
-        sequential calls interact only through LRU state: per call, only
-        the last ``ways`` inserts of a set's group can survive (earlier
-        ones are skipped without ticking the clock or counting an
-        eviction), and across calls the survivors are the globally
-        newest ``ways`` stamps, with every insert that was stamped but
-        later displaced counting its dirty bit exactly once.
+        On an untouched set-associative array (the warm-up case) nothing
+        is replayed, sorted or grouped.  Within one range only the last
+        ``ways`` blocks of a set are ever inserted, so the range's stamped
+        survivors are exactly its last ``min(n_blocks, sets * ways)``
+        blocks; ``bulk_fill`` stamps them in (set, address) order, so the
+        j-th survivor of a set has a computable block and stamp.  Across
+        ranges the stamps only grow, so a set keeps its newest ``ways``
+        survivors in stamp order at ways ``0..``, and every older one was
+        displaced once, counting its dirty bit as one eviction.  The
+        ranges are visited newest first with a per-set count of newer
+        survivors, one survivor column (one entry per set) at a time, and
+        the kept entries are written straight into the columns through
+        NumPy views.  Temporaries are a few arrays of one entry per set
+        whatever the footprint: O(sets) memory, and time linear in the
+        stamped survivors.  A used or direct-mapped array takes the
+        sequential :meth:`bulk_fill` path.
         """
-        # The fused path assumes a pristine array.  Every insert ticks the
-        # clock, so a zero clock means no way has ever been written.
+        # The closed form assumes a pristine array.  Every insert ticks
+        # the clock, so a zero clock means no way has ever been written.
         if self.is_direct_mapped or self._clock:
             for start_addr, n_blocks, dirty_fraction, seed in fills:
                 self.bulk_fill(start_addr, n_blocks,
@@ -379,73 +389,55 @@ class DRAMCacheArray:
 
         num_sets = self._num_sets
         ways = self._ways
-        clock0 = self._clock
-        assigned = 0                      # clipped inserts stamped so far
-        sid_parts: list[NDArray[np.int64]] = []
-        tag_parts: list[NDArray[np.int64]] = []
-        dirty_parts: list[NDArray[np.bool_]] = []
-        stamp_parts: list[NDArray[np.int64]] = []
+        # (first survivor block, survivor count, clock before the range,
+        # dirty_fraction, seed) per non-empty range, in fill order.
+        ranges: list[tuple[int, int, int, float, int]] = []
+        clock = self._clock
         for start_addr, n_blocks, dirty_fraction, seed in fills:
             if n_blocks <= 0:
                 continue
-            start_block = start_addr // self.geometry.block_bytes
-            blocks = np.arange(start_block, start_block + n_blocks,
-                               dtype=np.int64)
-            h = ((blocks + seed) * np.int64(2654435761)) \
-                & np.int64(0xFFFFFFFF)
-            dirty = (h >> 16).astype(np.float64) / 65536.0 < dirty_fraction
-            sets = blocks % num_sets
-            tags = blocks // num_sets
-            order = np.argsort(sets, kind="stable")
-            ss = sets[order]
-            # Per-call clipping: within one range only the last `ways`
-            # blocks of each set's group are ever inserted.
-            keep = _last_of_group_mask(ss, ways)
-            ss = ss[keep]
-            k = len(ss)
-            # Stamps in (set, position) order match the sequential
-            # insertion clock: bulk_fill walks groups in ascending set
-            # order and stamps only the clipped survivors.
-            stamps = np.arange(clock0 + assigned + 1,
-                               clock0 + assigned + 1 + k, dtype=np.int64)
-            assigned += k
-            sid_parts.append(ss)
-            tag_parts.append(tags[order][keep])
-            dirty_parts.append(dirty[order][keep])
-            stamp_parts.append(stamps)
-        self._clock = clock0 + assigned
-        if not sid_parts:
+            end = start_addr // self._block_bytes + n_blocks
+            m = min(n_blocks, num_sets * ways)
+            ranges.append((end - m, m, clock, dirty_fraction, seed))
+            clock += m
+        self._clock = clock
+        if not ranges:
             return
 
-        sid = np.concatenate(sid_parts)
-        tag = np.concatenate(tag_parts)
-        drt = np.concatenate(dirty_parts)
-        stp = np.concatenate(stamp_parts)
-        # Stable sort by set: ties keep concatenation order, which is
-        # (range order, position order) — i.e. ascending stamp.
-        order = np.argsort(sid, kind="stable")
-        sid, tag, drt, stp = sid[order], tag[order], drt[order], stp[order]
-        # Global LRU: the survivors of each set are its newest `ways`
-        # stamps; everything older was inserted then displaced, and its
-        # dirty bit counts as an eviction exactly once.
-        keep = _last_of_group_mask(sid, ways)
-        self.dirty_evictions += int(drt[~keep].sum())
-        sid, tag, drt, stp = sid[keep], tag[keep], drt[keep], stp[keep]
-
-        n = len(sid)
-        group_start = np.empty(n, dtype=bool)
-        group_start[0] = True
-        np.not_equal(sid[1:], sid[:-1], out=group_start[1:])
-        starts = np.flatnonzero(group_start)
-        col = np.arange(n) - starts[np.cumsum(group_start) - 1]
-        # Survivors take ways 0.. of their set in stamp-ascending order,
-        # which is what repeated bulk_fill leaves (appends in stamp order;
-        # overflow re-sorts by stamp); the rest of a pristine set stays
-        # invalid.  The NumPy views write straight into the columns.
-        slot = sid * ways + col
-        np.frombuffer(self._tags, dtype=np.int64)[slot] = tag
-        np.frombuffer(self._dirty, dtype=np.uint8)[slot] = drt
-        np.frombuffer(self._stamp, dtype=np.int64)[slot] = stp
+        # Survivors each set keeps in the end (at most `ways`).
+        kept = np.zeros(num_sets, dtype=np.int64)
+        for first, m, _clock, _df, _seed in ranges:
+            kept += _survivor_counts(first, m, num_sets)
+        np.minimum(kept, ways, out=kept)
+        set_ids = np.arange(num_sets, dtype=np.int64)
+        # Way of a set's entry with `newer` newer entries: kept - 1 - newer.
+        slot_top = set_ids * ways + kept - 1
+        tags_v = np.frombuffer(self._tags, dtype=np.int64)
+        dirty_v = np.frombuffer(self._dirty, dtype=np.uint8)
+        stamp_v = np.frombuffer(self._stamp, dtype=np.int64)
+        newer = np.zeros(num_sets, dtype=np.int64)  # from later ranges
+        evicted_dirty = 0
+        for first, m, clock0, dirty_fraction, seed in reversed(ranges):
+            counts = _survivor_counts(first, m, num_sets)
+            # A set's first survivor block, and its stamp: bulk_fill
+            # stamps survivors in (set, address) order.
+            block0 = first + (set_ids - first) % num_sets
+            stamp0 = clock0 + 1 + np.cumsum(counts) - counts
+            # Entries newer than a set's j-th survivor: top - j.
+            top = newer + counts - 1
+            for j in range(int(counts.max())):
+                blocks = block0 + j * num_sets
+                dirty = _dirty_mask(blocks, seed, dirty_fraction)
+                live = counts > j
+                after = top - j
+                keep = live & (after < ways)
+                evicted_dirty += int(np.count_nonzero(dirty & live & ~keep))
+                slots = (slot_top - after)[keep]
+                tags_v[slots] = blocks[keep] // num_sets
+                dirty_v[slots] = dirty[keep]
+                stamp_v[slots] = stamp0[keep] + j
+            newer += counts
+        self.dirty_evictions += evicted_dirty
 
     # -- snapshot hooks (see repro/snapshot.py and DESIGN.md) -------------------
 

@@ -434,12 +434,12 @@ class System:
         array = self.controller.array
         scale = self._footprint_scale
         if prefill:
-            # Consecutive bulk ranges are fused into one grouped pass
-            # (bulk_fill_many visits each shared set once instead of once
-            # per benchmark); insertion order — and thus LRU clocks,
-            # evictions, and final contents — is exactly the sequential
-            # per-benchmark order, so a prefill_blocks workload in the
-            # middle just flushes the pending batch first.
+            # Consecutive bulk ranges go to one bulk_fill_many call,
+            # which computes the contents they leave in closed form;
+            # insertion order — and thus LRU clocks, evictions, and
+            # final contents — is exactly the sequential per-benchmark
+            # order, so a prefill_blocks workload in the middle just
+            # flushes the pending batch first.
             pending: list[tuple[int, int, float, int]] = []
             for i, prof in enumerate(self.benchmarks):
                 prefill_blocks = getattr(prof, "prefill_blocks", None)

@@ -82,7 +82,15 @@ def make_trace(profile: BenchmarkProfile, seed: int = 0,
     mean_burst = profile.mean_burst
     expovariate = rng.expovariate
     random_u = rng.random
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
+    # Integer draws inline CPython's ``randrange(n)``: ``getrandbits(k)``
+    # with ``k = n.bit_length()``, redrawn while ``>= n``.  That consumes
+    # the generator exactly as ``randrange`` does, minus its two Python
+    # frames per draw; tests/test_workloads.py pins the stream against a
+    # ``randrange`` reference.
+    fp_bits = footprint_blocks.bit_length()
+    stream_bits = n_streams.bit_length()
+    seg_bits = [n.bit_length() for n in seg_len]
 
     def gen() -> Iterator[tuple]:
         while True:
@@ -92,18 +100,31 @@ def make_trace(profile: BenchmarkProfile, seed: int = 0,
             head_gap = max(0, int(expovariate(1.0 / (mean_gap * burst_len))))
             sequential = random_u() < seq_fraction
             if sequential:
-                s = randrange(n_streams)
+                s = getrandbits(stream_bits)          # randrange(n_streams)
+                while s >= n_streams:
+                    s = getrandbits(stream_bits)
                 if random_u() < jump_prob:
-                    stream_pos[s] = randrange(seg_len[s])
+                    pos = getrandbits(seg_bits[s])    # randrange(seg_len[s])
+                    while pos >= seg_len[s]:
+                        pos = getrandbits(seg_bits[s])
+                    stream_pos[s] = pos
                 pc = stream_pc[s]
             for k in range(burst_len):
-                gap = head_gap if k == 0 else randrange(1, 3)
+                if k == 0:
+                    gap = head_gap
+                else:
+                    gap = getrandbits(2)              # randrange(1, 3)
+                    while gap >= 2:
+                        gap = getrandbits(2)
+                    gap += 1
                 if sequential:
                     pos = stream_pos[s]
                     stream_pos[s] = (pos + 1) % seg_len[s]
                     block = seg_start[s] + pos
                 else:
-                    block = randrange(footprint_blocks)
+                    block = getrandbits(fp_bits)      # randrange(footprint_blocks)
+                    while block >= footprint_blocks:
+                        block = getrandbits(fp_bits)
                     pc = random_pcs[block & 7]
                 addr = core_offset + block * BLOCK
                 is_write = random_u() < store_fraction

@@ -1,6 +1,7 @@
 """Functional DRAM-cache array: hits, fills, LRU, dirty state, bulk fill."""
 
 import gc
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,6 +249,83 @@ class TestBulkFillMany:
         for start, n, df, sd in fills:
             b.bulk_fill(start, n, dirty_fraction=df, seed=sd)
         assert _state(a) == _state(b)
+
+
+_SA = DRAMCacheArray(GEOM, "sa").sa
+_SA_CAPACITY = _SA.num_sets * _SA.ways
+
+_RANGES = st.lists(st.tuples(
+    st.one_of(st.integers(0, 3).map(lambda rid: rid << 44),   # set 0
+              st.integers(0, 50_000).map(lambda b: b * 64),    # any set
+              st.integers(0, 2**40)),                          # unaligned
+    st.one_of(st.just(0),
+              st.integers(1, 100),
+              st.integers(0, 3 * _SA_CAPACITY),
+              st.sampled_from([_SA_CAPACITY - 1, _SA_CAPACITY,
+                               _SA_CAPACITY + 1])),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.integers(0, 2**20)),
+    max_size=5)
+
+
+class TestClosedFormPrefill:
+    """The pristine-array ``bulk_fill_many`` computes its result in closed
+    form: bit for bit what sequential ``bulk_fill`` leaves, in O(sets)
+    memory whatever the footprint."""
+
+    @given(_RANGES)
+    @settings(max_examples=60, deadline=None)
+    def test_columns_match_sequential(self, fills):
+        a = DRAMCacheArray(GEOM, "sa")
+        b = DRAMCacheArray(GEOM, "sa")
+        a.bulk_fill_many(fills)
+        for start, n, df, sd in fills:
+            b.bulk_fill(start, n, dirty_fraction=df, seed=sd)
+        assert bytes(a._tags) == bytes(b._tags)
+        assert a._dirty == b._dirty
+        assert bytes(a._stamp) == bytes(b._stamp)
+        assert a._clock == b._clock
+        assert a.dirty_evictions == b.dirty_evictions
+
+    def test_edge_ranges_match_sequential(self):
+        """Overlap, wrap past the last set, over-capacity and empty
+        ranges, all-clean and all-dirty, in one batch."""
+        last_set = GEOM.block_bytes * (_SA.num_sets - 1)
+        fills = [(0, 0, 0.5, 1),
+                 (last_set, 3 * _SA_CAPACITY + 5, 1.0, 2),
+                 (12_345, 17, 0.0, 3),
+                 (last_set, _SA_CAPACITY // 2, 0.5, 4),
+                 (1 << 44, _SA_CAPACITY + 1, 1.0, 5)]
+        a = DRAMCacheArray(GEOM, "sa")
+        b = DRAMCacheArray(GEOM, "sa")
+        a.bulk_fill_many(fills)
+        for start, n, df, sd in fills:
+            b.bulk_fill(start, n, dirty_fraction=df, seed=sd)
+        assert (bytes(a._tags), a._dirty, bytes(a._stamp)) \
+            == (bytes(b._tags), b._dirty, bytes(b._stamp))
+        assert (a._clock, a.dirty_evictions) == (b._clock, b.dirty_evictions)
+        assert a.dirty_evictions > 0
+
+    @staticmethod
+    def _peak_bytes(scale):
+        # The quick-scale array: 32 MiB, 32,768 sets of 15 ways.
+        arr = DRAMCacheArray(DRAMCacheGeometry(size_bytes=32 * 2**20), "sa")
+        fills = [(i << 44, n * scale, df, i + 1) for i, (n, df) in
+                 enumerate(((120_000, 0.0), (250_000, 0.45),
+                            (90_000, 1.0), (300_000, 0.3)))]
+        tracemalloc.start()
+        try:
+            arr.bulk_fill_many(fills)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_is_bounded_by_sets(self):
+        base = self._peak_bytes(1)
+        quadrupled = self._peak_bytes(4)
+        assert base < 8 * 2**20
+        # One extra per-set array would be 256 KiB; blocks are millions.
+        assert quadrupled <= base + 64 * 2**10
 
 
 def _tracked_growth_after_prefill(size_bytes):

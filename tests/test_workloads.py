@@ -1,5 +1,8 @@
 """Benchmark profiles, trace generation, Table I, workload scenarios."""
 
+import random
+from itertools import islice
+
 import pytest
 
 from repro.workloads.generator import BLOCK, make_trace
@@ -154,6 +157,68 @@ class TestTraceGenerator:
         t = make_trace(p, seed=5)
         seen = {next(t)[1] // BLOCK for _ in range(40_000)}
         assert seen == set(range(1030))
+
+
+def _randrange_trace(profile, seed=0, core_offset=0, footprint_scale=1.0):
+    """Reference stream: ``make_trace`` as written with ``rng.randrange``.
+
+    ``make_trace`` inlines ``randrange``'s rejection sampling; this keeps
+    the original loop so a CPython release whose ``randrange`` consumes
+    the generator differently fails :class:`TestTraceStreamPin` by name
+    instead of silently drifting every golden.
+    """
+    rng = random.Random(seed)
+    footprint_blocks = max(1024, int(
+        profile.footprint_bytes * footprint_scale) // BLOCK)
+    mean_gap = profile.mean_gap_instructions
+    n_streams = min(profile.num_streams, footprint_blocks)
+    seg_start = [footprint_blocks * s // n_streams for s in range(n_streams)]
+    seg_len = [footprint_blocks * (s + 1) // n_streams - seg_start[s]
+               for s in range(n_streams)]
+    stream_pos = [rng.randrange(seg_len[s]) for s in range(n_streams)]
+    stream_pc = [0x400000 + 64 * s for s in range(n_streams)]
+    random_pcs = [0x500000 + 64 * i for i in range(8)]
+    while True:
+        burst_len = 1 + int(rng.expovariate(1.0 / profile.mean_burst))
+        head_gap = max(0, int(rng.expovariate(1.0 / (mean_gap * burst_len))))
+        sequential = rng.random() < profile.seq_fraction
+        if sequential:
+            s = rng.randrange(n_streams)
+            if rng.random() < profile.jump_prob:
+                stream_pos[s] = rng.randrange(seg_len[s])
+            pc = stream_pc[s]
+        for k in range(burst_len):
+            gap = head_gap if k == 0 else rng.randrange(1, 3)
+            if sequential:
+                pos = stream_pos[s]
+                stream_pos[s] = (pos + 1) % seg_len[s]
+                block = seg_start[s] + pos
+            else:
+                block = rng.randrange(footprint_blocks)
+                pc = random_pcs[block & 7]
+            addr = core_offset + block * BLOCK
+            is_write = rng.random() < profile.store_fraction
+            yield gap, addr, is_write, pc
+
+
+_PINNED_PROFILES = {**{f"spec:{n}": p for n, p in PROFILES.items()},
+                    **{f"adversarial_writeback:{p.name}": p
+                       for p in SCENARIOS["adversarial_writeback"]}}
+
+
+class TestTraceStreamPin:
+    """``make_trace`` draws exactly the ``randrange``-based stream."""
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_PROFILES))
+    def test_matches_randrange_reference(self, name):
+        prof = _PINNED_PROFILES[name]
+        for seed in (0, 7, 65):
+            for scale in (1 / 64, 1.0):
+                kw = {"seed": seed, "core_offset": 3 << 44,
+                      "footprint_scale": scale}
+                fast = list(islice(make_trace(prof, **kw), 20_000))
+                ref = list(islice(_randrange_trace(prof, **kw), 20_000))
+                assert fast == ref, (seed, scale)
 
 
 class TestTable1:
