@@ -374,10 +374,10 @@ class DRAMCacheArray:
         ranges are visited newest first with a per-set count of newer
         survivors, one survivor column (one entry per set) at a time, and
         the kept entries are written straight into the columns through
-        NumPy views.  Temporaries are a few arrays of one entry per set
-        whatever the footprint: O(sets) memory, and time linear in the
-        stamped survivors.  A used or direct-mapped array takes the
-        sequential :meth:`bulk_fill` path.
+        NumPy views.  The temporaries are each range's per-set survivor
+        counts plus a few other per-set arrays, whatever the footprint:
+        O(ranges x sets) memory and O(ranges x sets x ways) time.  A used
+        or direct-mapped array takes the sequential :meth:`bulk_fill` path.
         """
         # The closed form assumes a pristine array.  Every insert ticks
         # the clock, so a zero clock means no way has ever been written.
@@ -389,25 +389,25 @@ class DRAMCacheArray:
 
         num_sets = self._num_sets
         ways = self._ways
-        # (first survivor block, survivor count, clock before the range,
-        # dirty_fraction, seed) per non-empty range, in fill order.
-        ranges: list[tuple[int, int, int, float, int]] = []
+        # (first survivor block, per-set survivor counts, clock before the
+        # range, dirty_fraction, seed) per non-empty range, in fill order.
+        ranges: list[tuple[int, NDArray[np.int64], int, float, int]] = []
+        # Survivors each set keeps in the end (at most `ways`).
+        kept = np.zeros(num_sets, dtype=np.int64)
         clock = self._clock
         for start_addr, n_blocks, dirty_fraction, seed in fills:
             if n_blocks <= 0:
                 continue
             end = start_addr // self._block_bytes + n_blocks
             m = min(n_blocks, num_sets * ways)
-            ranges.append((end - m, m, clock, dirty_fraction, seed))
+            counts = _survivor_counts(end - m, m, num_sets)
+            kept += counts
+            ranges.append((end - m, counts, clock, dirty_fraction, seed))
             clock += m
         self._clock = clock
         if not ranges:
             return
 
-        # Survivors each set keeps in the end (at most `ways`).
-        kept = np.zeros(num_sets, dtype=np.int64)
-        for first, m, _clock, _df, _seed in ranges:
-            kept += _survivor_counts(first, m, num_sets)
         np.minimum(kept, ways, out=kept)
         set_ids = np.arange(num_sets, dtype=np.int64)
         # Way of a set's entry with `newer` newer entries: kept - 1 - newer.
@@ -417,8 +417,7 @@ class DRAMCacheArray:
         stamp_v = np.frombuffer(self._stamp, dtype=np.int64)
         newer = np.zeros(num_sets, dtype=np.int64)  # from later ranges
         evicted_dirty = 0
-        for first, m, clock0, dirty_fraction, seed in reversed(ranges):
-            counts = _survivor_counts(first, m, num_sets)
+        for first, counts, clock0, dirty_fraction, seed in reversed(ranges):
             # A set's first survivor block, and its stamp: bulk_fill
             # stamps survivors in (set, address) order.
             block0 = first + (set_ids - first) % num_sets

@@ -4,14 +4,11 @@ A functional set-associative, write-back, write-allocate cache with true
 LRU.  Sets are materialised lazily (simulated footprints touch a sparse
 subset) and stored as ``tag -> [tag, dirty, stamp]`` dicts, so the hit
 path (the L1/L2 front of every simulated memory operation) is one hash
-probe instead of a way scan.  Each set dict is kept in recency order:
-every stamp refresh moves its entry to the end, so the entries iterate
-oldest stamp first.  The default ``lru`` victim is therefore the set's
-first entry, found without a scan; ``lruc``/``lrud`` still pick by
-stamp from the set's ``values()``, and stamps are globally unique, so
-every policy picks the victim a stamp scan picks.  The cache is purely
-functional — latency is charged by the caller (core model / system
-wiring) so that the same class serves both levels.
+probe instead of a way scan; victim selection still sees the entry list
+(insertion-ordered ``values()``), and stamps are globally unique, so the
+pluggable policies pick the identical victim the list layout produced.
+The cache is purely functional — latency is charged by the caller (core
+model / system wiring) so that the same class serves both levels.
 
 An optional *dirty-row index* supports Lee et al.'s DRAM-aware writeback
 policy (Fig. 19): it tracks, per DRAM-cache row, which dirty blocks the
@@ -21,15 +18,11 @@ blocks bound for the same row (see :mod:`repro.mem.llc_writeback`).
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.cache.replacement import SRAM_POLICIES
 from repro.config import CacheGeometry
 from repro.metrics.registry import MetricGroup, derived
-
-
-_STAMP = itemgetter(2)
 
 
 class SRAMCacheStats(MetricGroup):
@@ -39,11 +32,6 @@ class SRAMCacheStats(MetricGroup):
     @derived
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
-
-
-def _oldest_entry(s: Iterable[list[Any]]) -> list[Any]:
-    """LRU victim of a recency-ordered set: its first entry."""
-    return next(iter(s))
 
 
 class SRAMCache:
@@ -61,9 +49,8 @@ class SRAMCache:
         self.block = geom.block_bytes
         self._assoc = geom.assoc
         # Module-level function, never a closure (snapshot-safe).
-        self._pick_victim = (_oldest_entry if geom.replacement == "lru"
-                             else SRAM_POLICIES[geom.replacement])
-        # set idx -> {tag -> [tag, dirty, stamp]}, oldest stamp first
+        self._pick_victim = SRAM_POLICIES[geom.replacement]
+        # set idx -> {tag -> [tag, dirty, stamp]} (insertion-ordered)
         self._sets: dict[int, dict[int, list[Any]]] = {}
         self._clock = 0
         self.stats = SRAMCacheStats()
@@ -119,10 +106,8 @@ class SRAMCache:
         blk = addr // self.block
         s = self._sets.get(blk % self.num_sets)
         if s is not None:
-            tag = blk // self.num_sets
-            e = s.pop(tag, None)
+            e = s.get(blk // self.num_sets)
             if e is not None:
-                s[tag] = e                  # newest stamp goes last
                 self.stats.hits += 1
                 self._clock += 1
                 e[2] = self._clock
@@ -147,9 +132,8 @@ class SRAMCache:
         if s is None:
             s = self._sets[set_idx] = {}
         self._clock += 1
-        e = s.pop(tag, None)
+        e = s.get(tag)
         if e is not None:
-            s[tag] = e                      # newest stamp goes last
             self.stats.hits += 1
             e[2] = self._clock
             if is_write and not e[1]:
@@ -233,9 +217,9 @@ class SRAMCache:
     def restore_state(self, state: dict[str, Any]) -> None:
         """Adopt contents captured by :meth:`capture_state` (re-copied, so
         one captured state serves any number of restores)."""
-        # Captures keep the list-of-entries layout; each set is rebuilt
-        # in stamp order, so any captured list restores recency order.
-        self._sets = {k: {e[0]: e[:] for e in sorted(v, key=_STAMP)}
+        # Captures keep the historical list-of-entries layout; rebuild the
+        # per-set dicts in list order, which is exactly insertion order.
+        self._sets = {k: {e[0]: e[:] for e in v}
                       for k, v in state["sets"].items()}
         self._clock = state["clock"]
         self._dirty_rows = {row: set(blocks)

@@ -64,11 +64,7 @@ from typing import Any, Optional
 #: and the main-memory image is the model's own capture_state dict (flat
 #: bus_free or banked per-channel substrate state) instead of a bare int.
 #: v3: the DRAM-cache array payload changed from a set dict to three byte strings.
-#: v4: L2 set dicts are kept in recency order (oldest stamp first) and
-#: the LRU victim is a set's first entry; a v3 payload carries them in
-#: insertion order.  Warm states are unaffected: their L2 payload is
-#: rebuilt in stamp order by ``SRAMCache.restore_state``.
-SNAPSHOT_SCHEMA_VERSION = 4
+SNAPSHOT_SCHEMA_VERSION = 3
 
 #: Version of the :class:`WarmState` payload (independent of the full
 #: snapshot: warm states are a narrow, explicitly-enumerated subset).

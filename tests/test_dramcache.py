@@ -270,8 +270,8 @@ _RANGES = st.lists(st.tuples(
 
 class TestClosedFormPrefill:
     """The pristine-array ``bulk_fill_many`` computes its result in closed
-    form: bit for bit what sequential ``bulk_fill`` leaves, in O(sets)
-    memory whatever the footprint."""
+    form: bit for bit what sequential ``bulk_fill`` leaves, in memory
+    independent of the footprint."""
 
     @given(_RANGES)
     @settings(max_examples=60, deadline=None)

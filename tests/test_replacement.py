@@ -1,9 +1,6 @@
 """Victim-selection policies across both cache organisations."""
 
-import random
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.cache.dramcache import DRAMCacheArray
 from repro.cache.replacement import SA_POLICIES, SRAM_POLICIES
@@ -92,108 +89,6 @@ class TestSRAMCacheEviction:
         assert victim is None
         assert c.stats.clean_evictions == 1
         assert c.probe(0)
-
-
-class _StampScanCache:
-    """Reference SRAM cache: sets are lists in insertion order and every
-    victim is picked by the policy's stamp scan over the whole set."""
-
-    def __init__(self, geom):
-        self.geom = geom
-        self.pick = SRAM_POLICIES[geom.replacement]
-        self.sets = {}
-        self.clock = 0
-
-    def _find(self, addr):
-        blk = addr // self.geom.block_bytes
-        s = self.sets.setdefault(blk % self.geom.num_sets, [])
-        tag = blk // self.geom.num_sets
-        return s, tag, next((e for e in s if e[0] == tag), None)
-
-    def touch(self, addr, is_write):
-        _s, _tag, e = self._find(addr)
-        if e is None:
-            return False
-        self.clock += 1
-        e[2] = self.clock
-        e[1] = e[1] or is_write
-        return True
-
-    def access(self, addr, is_write):
-        s, tag, e = self._find(addr)
-        self.clock += 1
-        if e is not None:
-            e[2] = self.clock
-            e[1] = e[1] or is_write
-            return True, None
-        victim_addr = None
-        if len(s) >= self.geom.assoc:
-            victim = self.pick(s)
-            s.remove(victim)
-            if victim[1]:
-                blk = victim[0] * self.geom.num_sets \
-                    + (addr // self.geom.block_bytes) % self.geom.num_sets
-                victim_addr = blk * self.geom.block_bytes
-        s.append([tag, is_write, self.clock])
-        return False, victim_addr
-
-    def fill(self, addr, dirty=False):
-        return self.access(addr, dirty)[1]
-
-    def clean(self, addr):
-        _s, _tag, e = self._find(addr)
-        if e is not None and e[1]:
-            e[1] = False
-            return True
-        return False
-
-    def invalidate(self, addr):
-        s, _tag, e = self._find(addr)
-        if e is None:
-            return False
-        s.remove(e)
-        return True
-
-
-_SRAM_OPS = st.lists(st.tuples(
-    st.sampled_from(["touch", "access", "fill", "clean", "invalidate",
-                     "restore"]),
-    st.integers(0, 2),                 # set
-    st.integers(0, 7),                 # tag
-    st.booleans()), max_size=120)
-
-
-class TestSRAMRecencyOrder:
-    """Each SRAM set iterates oldest stamp first, so the default LRU victim
-    is the first entry; every policy picks what a stamp scan picks."""
-
-    @pytest.mark.parametrize("policy", ["lru", "lruc", "lrud"])
-    @given(ops=_SRAM_OPS, shuffle_seed=st.integers(0, 2**16))
-    @settings(max_examples=60, deadline=None)
-    def test_victims_match_stamp_scan(self, policy, ops, shuffle_seed):
-        cache = small_cache(policy)
-        ref = _StampScanCache(cache.geom)
-        shuffle = random.Random(shuffle_seed).shuffle
-        for op, set_idx, tag, flag in ops:
-            addr = (tag * cache.num_sets + set_idx) * cache.block
-            if op == "restore":
-                # A captured set in any order restores recency order.
-                state = cache.capture_state()
-                for entries in state["sets"].values():
-                    shuffle(entries)
-                cache.restore_state(state)
-            elif op in ("touch", "access"):
-                assert getattr(cache, op)(addr, flag) \
-                    == getattr(ref, op)(addr, flag)
-            elif op == "fill":
-                assert cache.fill(addr, flag) == ref.fill(addr, flag)
-            else:
-                assert getattr(cache, op)(addr) == getattr(ref, op)(addr)
-            for k, s in cache._sets.items():
-                stamps = [e[2] for e in s.values()]
-                assert stamps == sorted(stamps)
-                assert sorted(map(tuple, s.values())) \
-                    == sorted(map(tuple, ref.sets.get(k, [])))
 
 
 def fill_set0(arr, n):
