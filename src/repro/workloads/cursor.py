@@ -20,9 +20,8 @@ rebuilding the stream and fast-forwarding ``count`` operations:
 Fast-forward cost is linear in ``count`` and is most of what a warm-state
 restore costs.  Restoring a quick-scale 4-core warm state fast-forwards
 24,000 ops.  On a 2-vCPU Xeon VM the whole restore takes ~45 ms, of
-which ~24 ms (~1 µs/op) is fast-forward; while the synthetic generator
-still drew its integers through ``randrange`` it was ~40 ms of ~58 ms.
-Either way it is far below simulating the same ops.
+which ~24 ms (~1 µs/op) is fast-forward, far below simulating the same
+ops.
 
 Trace sources are required to be immutable (all shipped sources are frozen
 dataclasses); cursors share them instead of copying, which also keeps a
