@@ -1,6 +1,7 @@
-"""R3 — hot-path hygiene: ``__slots__`` everywhere hot, no stored closures.
+"""R3 — hot-path hygiene: ``__slots__`` everywhere hot, no stored closures,
+no enum member loads per access.
 
-Two checks:
+Three checks:
 
 * Classes in ``dram/`` and in ``sim/engine.py`` — the per-event inner
   loop — must declare ``__slots__``.  Slotted attribute access is
@@ -16,12 +17,23 @@ Two checks:
   and unpicklable, which is what snapshot/restore and the warm-state
   cache are built on.  Bound methods (``self.f = self.g``) remain legal
   — they pickle through the instance.
+
+* No ``Priority.X`` / ``RequestType.X`` / ``AccessRole.X`` /
+  ``RowState.X`` attribute loads inside function bodies of the
+  per-access code: ``core/``, ``cache/translator.py``, ``sim/``,
+  ``dram/`` and ``mem/``.  On CPython 3.11 ``EnumType`` defines a
+  Python ``__getattr__``, so each such load takes the slow slot getattr
+  hook (~5x a plain class attribute) on every call.  Hot code compares
+  against the module-level aliases exported by ``repro.core.access``
+  (``REQ_READ``, ``TAG_READ``, ``PR``, ...) or the ``ROW_*`` ints of
+  ``repro.dram.bank``.  Loads that run once at import time (module
+  level, class bodies, default arguments, decorators) stay legal.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.analysis.core import (
     Finding,
@@ -35,6 +47,13 @@ from repro.analysis.core import (
 )
 
 _SIM_PACKAGES = ("sim", "dram", "cache", "mem")
+
+#: Packages (and single files) whose functions run per DRAM access.
+_PER_ACCESS_PACKAGES = ("core", "sim", "dram", "mem")
+_PER_ACCESS_FILES = ("cache/translator.py",)
+
+#: Enum classes whose member loads R3 keeps out of per-access functions.
+_HOT_ENUMS = frozenset({"Priority", "RequestType", "AccessRole", "RowState"})
 
 #: Base classes whose subclasses manage attribute storage differently.
 _EXEMPT_BASES = frozenset({"Protocol", "Enum", "IntEnum", "IntFlag", "Flag",
@@ -71,7 +90,9 @@ class HotPathRule(Rule):
     description = (
         "classes in dram/ and sim/engine.py must declare __slots__ "
         "(mypyc on-ramp); no lambdas or local functions stored on "
-        "instance attributes in simulation packages (PR 4 bug class)"
+        "instance attributes in simulation packages (PR 4 bug class); "
+        "no Priority/RequestType/AccessRole/RowState member loads inside "
+        "per-access functions (EnumType.__getattr__ cost)"
     )
 
     def check(self, module: SourceModule, run: LintRun) -> Iterator[Finding]:
@@ -89,6 +110,37 @@ class HotPathRule(Rule):
                 )
         if module.in_package(*_SIM_PACKAGES):
             yield from self._closure_findings(module)
+        if (module.in_package(*_PER_ACCESS_PACKAGES)
+                or any(module.is_file(f) for f in _PER_ACCESS_FILES)):
+            yield from self._enum_load_findings(module)
+
+    def _enum_load_findings(self, module: SourceModule) -> Iterator[Finding]:
+        # Only function *bodies* run per call: argument defaults and
+        # decorators are evaluated once, when the def executes.
+        seen: set[int] = set()      # nested functions are walked twice
+        for func in ast.walk(module.tree):
+            body: Sequence[ast.AST]
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = func.body
+            elif isinstance(func, ast.Lambda):
+                body = [func.body]
+            else:
+                continue
+            for stmt in body:
+                for node in ast.walk(stmt):
+                    if (isinstance(node, ast.Attribute)
+                            and isinstance(node.ctx, ast.Load)
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id in _HOT_ENUMS
+                            and id(node) not in seen):
+                        seen.add(id(node))
+                        yield module.finding(
+                            self, node,
+                            f"{node.value.id}.{node.attr} loaded inside a "
+                            f"function: EnumType.__getattr__ makes every "
+                            f"load slow; use the module-level constant "
+                            f"(repro.core.access / repro.dram.bank)",
+                        )
 
     def _closure_findings(self, module: SourceModule) -> Iterator[Finding]:
         for func in ast.walk(module.tree):

@@ -5,8 +5,8 @@ one access from a full queue, remove it, and admit a replacement.  The
 **naive** engine reproduces the pre-indexing code shape — a plain Python
 list, full-queue candidate filters, per-access row-state classification
 and O(n) ``list.remove`` — while the **indexed** engine drives the same
-decision through :class:`repro.core.queues.AccessQueue`'s bank buckets
-and the schedulers' ``pick_banked``.
+decision through :class:`repro.core.queues.AccessQueue`'s per-class bank
+bucket maps and the schedulers' ``pick_banked``.
 
 Both engines consume the *same* ``Access`` objects and the same
 replacement stream, so (selection being bit-identical — the property
@@ -160,15 +160,17 @@ class _State:
 
     # -- candidate construction, indexed ------------------------------------
 
-    def indexed_buckets(self, q: AccessQueue):
+    def indexed_buckets(self, q: AccessQueue) -> tuple:
+        """The class maps ``pick_banked`` searches (their union is the
+        candidate set)."""
         if self.mode == "pr_subset":
-            return q.pr_bank_buckets()
+            return q.pr_only
         if self.mode == "dca_ofs":
             # The controller's own bucket filter — shared, so the bench
             # always times the production OFS computation.
-            return ofs_bucket_filter(q.lr_bank_buckets(),
-                                     self.channel.open_rows, self.rrpc, _FF)
-        return q.bank_buckets()
+            return (ofs_bucket_filter(q.lr_banks, self.channel.open_rows,
+                                      self.rrpc, _FF),)
+        return q.classes
 
 
 def _naive_step(state: _State, pool: list[Access],

@@ -106,6 +106,7 @@ class DRAMCacheArray:
             raise ValueError(f"unknown organization {organization!r}")
         self.geometry = geometry
         self.organization = organization
+        self.is_direct_mapped = organization == "dm"
         self.replacement = replacement
         # Module-level function, never a closure (snapshot-safe).
         self._victim_way = SA_POLICIES[replacement]
@@ -135,10 +136,6 @@ class DRAMCacheArray:
         self.dirty_evictions = 0
 
     # -- common helpers --------------------------------------------------------
-
-    @property
-    def is_direct_mapped(self) -> bool:
-        return self.organization == "dm"
 
     def _block(self, addr: int) -> int:
         return addr // self.geometry.block_bytes

@@ -31,7 +31,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cache.dramcache import DRAMCacheArray
-from repro.core.access import Access, AccessRole, CacheRequest, RequestType
+from repro.core.access import (
+    DATA_READ,
+    DATA_WRITE,
+    REQ_READ,
+    REQ_WRITEBACK,
+    TAG_READ,
+    TAG_WRITE,
+    Access,
+    AccessRole,
+    CacheRequest,
+)
 from repro.dram.address import AddressMapper
 
 
@@ -66,11 +76,11 @@ class Translator:
 
     def _make(self, role: AccessRole, req: CacheRequest, array_addr: int,
               now: int, critical: bool = True) -> Access:
-        d = self.mapper.decode(array_addr)
+        channel, rank, bank, row, col, global_bank = self.mapper.locate(
+            array_addr)
         self._seq += 1
-        return Access(role, req, d.channel, d.rank, d.bank, d.row, d.col,
-                      self.mapper.global_bank(d), now, critical=critical,
-                      seq=self._seq)
+        return Access(role, req, channel, rank, bank, row, col, global_bank,
+                      now, critical=critical, seq=self._seq)
 
     # -- stage 1 ------------------------------------------------------------------
 
@@ -82,13 +92,13 @@ class Translator:
         finishes with this single access.
         """
         tag_addr = self.array.tag_location(req.addr)
-        return self._make(AccessRole.TAG_READ, req, tag_addr, now)
+        return self._make(TAG_READ, req, tag_addr, now)
 
     # -- stage 2 ------------------------------------------------------------------
 
     def after_tag_read(self, req: CacheRequest, now: int) -> TagOutcome:
         """Resolve hit/miss functionally and build the follow-on accesses."""
-        if req.rtype == RequestType.READ:
+        if req.rtype == REQ_READ:
             return self._after_read_tag(req, now)
         return self._after_write_tag(req, now)
 
@@ -100,10 +110,10 @@ class Translator:
         if self.array.is_direct_mapped:
             # TAD read already returned the data; no further access.
             return TagOutcome(hit=True)
-        data = self._make(AccessRole.DATA_READ, req,
+        data = self._make(DATA_READ, req,
                           self.array.data_location(req.addr, res.way), now)
         # Replacement-bit update; off the critical path.
-        tagw = self._make(AccessRole.TAG_WRITE, req,
+        tagw = self._make(TAG_WRITE, req,
                           self.array.tag_location(req.addr), now,
                           critical=False)
         return TagOutcome(hit=True, next_accesses=[data, tagw])
@@ -112,7 +122,7 @@ class Translator:
         """Writeback / refill: update in place on hit, allocate on miss."""
         res = self.array.lookup_write(req.addr)
         req.hit = res.hit
-        dirty_insert = req.rtype == RequestType.WRITEBACK
+        dirty_insert = req.rtype == REQ_WRITEBACK
         if res.hit:
             way = res.way
             victim_mem_write = None
@@ -128,18 +138,18 @@ class Translator:
                 # overwritten (paper Fig. 2).  In the direct-mapped
                 # organization the TAD read already returned it.
                 victim_read = self._make(
-                    AccessRole.DATA_READ, req,
+                    DATA_READ, req,
                     self.array.data_location(req.addr, way), now)
 
         if self.array.is_direct_mapped:
             # One TAD write carries tag+data together.
-            writes = [self._make(AccessRole.DATA_WRITE, req,
+            writes = [self._make(DATA_WRITE, req,
                                  self.array.tag_location(req.addr), now)]
         else:
             writes = [
-                self._make(AccessRole.DATA_WRITE, req,
+                self._make(DATA_WRITE, req,
                            self.array.data_location(req.addr, way), now),
-                self._make(AccessRole.TAG_WRITE, req,
+                self._make(TAG_WRITE, req,
                            self.array.tag_location(req.addr), now),
             ]
         return TagOutcome(hit=res.hit, next_accesses=writes,

@@ -28,16 +28,25 @@ Subclasses implement exactly two hooks:
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Mapping, Optional, Sequence
 
 from repro.cache.dramcache import DRAMCacheArray
 from repro.cache.mapi import MAPIPredictor
 from repro.cache.translator import Translator
 from repro.config import SystemConfig
-from repro.core.access import Access, AccessRole, CacheRequest, Priority, RequestType
-from repro.core.bliss import BLISSScheduler
+from repro.core.access import (
+    DATA_READ,
+    LR,
+    REQ_READ,
+    REQ_REFILL,
+    REQ_WRITEBACK,
+    TAG_READ,
+    Access,
+    CacheRequest,
+)
+from repro.core.bliss import BLISSScheduler, BucketColumns
 from repro.core.frfcfs import FRFCFSScheduler
-from repro.core.queues import AccessQueue
+from repro.core.queues import AccessQueue, first_length
 from repro.dram.device import DRAMDevice
 from repro.mem.mainmem import AnyMainMemory, make_mainmem
 from repro.metrics.registry import MetricGroup, MetricRegistry, derived
@@ -62,7 +71,9 @@ class ControllerStats(MetricGroup):
         "victim_mem_writes",
         "forced_flushes",
         "opportunistic_flushes",
-        "read_priority_inversions",  # LR issued from read pool while a PR waited
+        # Any LR-class issue (from whichever queue holds it — ROD's RTw sit
+        # in its write queue) while a PR-class read waits in the read queue.
+        "read_priority_inversions",
         "lr_ofs_issues",             # DCA: LRs drained by OFS
         "lr_drain_issues",           # DCA: LRs drained by Algorithm 1 hysteresis
         "forwarded_reads",           # reads served from the write buffer
@@ -124,7 +135,21 @@ class BaseController:
         self.flushing = [False] * nch
         self.sched = [sched_cls(cfg.bliss, cfg.num_cores) for _ in range(nch)]
         self._decision_pending = [False] * nch
-        self._in_flight = [0] * nch
+        #: per channel, the burst end times of the issued but not yet
+        #: completed accesses, oldest first.  Bursts on one channel
+        #: serialize on its bus, so they end (and complete) in issue order.
+        self._in_flight: list[deque[int]] = [deque() for _ in range(nch)]
+        q = cfg.queues
+        self._window = q.issue_window
+        # Watermark tests as queue-length thresholds, found by evaluating
+        # the occupancy predicates themselves, so they agree exactly.
+        wcap = q.write_entries
+        #: write-queue lengths above the low watermark start at this one
+        self._wq_above_low = first_length(
+            wcap, lambda occ: occ > q.write_low_watermark)
+        #: write-queue lengths at or above the high watermark
+        self._wq_high = first_length(
+            wcap, lambda occ: occ >= q.write_high_watermark)
         self._opp_flushing = [False] * nch
         self._opp_batch = [0] * nch
         #: block addr -> youngest in-flight writeback/refill (write buffer
@@ -146,7 +171,8 @@ class BaseController:
         now = self.sim.now
         req.arrival = now
         st = self.stats
-        if req.rtype == RequestType.READ:
+        rtype = req.rtype
+        if rtype == REQ_READ:
             st.reads_submitted += 1
             if req.addr in self._pending_writes:
                 # Write-buffer forwarding: the freshest copy of this block
@@ -170,7 +196,7 @@ class BaseController:
                     # callbacks must survive snapshot capture (see
                     # MainMemory.fetch and repro/snapshot.py).
                     self.mainmem.fetch(req.addr, self._mem_fetch_done, req)
-        elif req.rtype == RequestType.WRITEBACK:
+        elif rtype == REQ_WRITEBACK:
             st.writebacks_submitted += 1
             self._pending_writes[req.addr] = req
         else:
@@ -210,11 +236,21 @@ class BaseController:
     # ------------------------------------------------------------------ scheduling
 
     def _kick(self, ch: int) -> None:
-        """Arrange a scheduling decision for channel ``ch`` at the current time."""
+        """Arrange a scheduling decision for channel ``ch`` at the current time.
+
+        Nothing is scheduled while the issue window is full and its
+        oldest burst ends after now: no completion on this channel can
+        run before that decide, so it would issue nothing.  The oldest
+        burst's completion kicks again.
+        """
         if self._decision_pending[ch]:
             return
+        now = self.sim.now
+        ends = self._in_flight[ch]
+        if len(ends) >= self._window and ends[0] > now:
+            return
         self._decision_pending[ch] = True
-        self.sim.at(self.sim.now, self._decide, ch)
+        self.sim.at(now, self._decide, ch)
 
     def _decide(self, ch: int) -> None:
         """Issue accesses until the in-flight window fills or nothing is ready.
@@ -225,12 +261,12 @@ class BaseController:
         preparations of distinct banks overlap in flight.
         """
         self._decision_pending[ch] = False
-        window = self.cfg.queues.issue_window
+        window = self._window
         now = self.sim.now
         # Hot loop: every bound method / container indexed below is
         # loop-invariant per channel, so resolve each exactly once.
         issue = self.device.channels[ch].issue
-        in_flight = self._in_flight
+        ends = self._in_flight[ch]
         rq = self.read_q[ch]
         stats = self.stats
         select = self._select
@@ -239,8 +275,7 @@ class BaseController:
         sim_at = self.sim.at
         complete = self._access_complete
         admit = self._admit
-        lr = Priority.LR
-        while in_flight[ch] < window:
+        while len(ends) < window:
             picked = select(ch)
             if picked is None:
                 return
@@ -248,13 +283,14 @@ class BaseController:
             queue.remove(access, now)
 
             # Observable read-priority-inversion accounting: an LR-class
-            # bus read issued while a PR-class read waits on this channel.
-            if access.priority == lr and rq.pr_count:
+            # access issued (from either queue) while a PR-class read
+            # waits in this channel's read queue.
+            if access.priority == LR and rq.pr_count:
                 stats.read_priority_inversions += 1
 
             _start, end = issue(access.rank, access.bank, access.row,
                                 access.is_write, now)
-            in_flight[ch] += 1
+            ends.append(end)
             on_served(access.core_id)
             on_issued(access)
             sim_at(end, complete, access)
@@ -263,16 +299,13 @@ class BaseController:
     # -- write-flush state machine -------------------------------------------------
 
     def _flush_exit_check(self, ch: int) -> None:
-        wq = self.write_q[ch]
-        if self.flushing[ch] and (
-                not wq.entries
-                or wq.occupancy <= self.cfg.queues.write_low_watermark):
+        n = self.write_q[ch].size
+        if self.flushing[ch] and (not n or n < self._wq_above_low):
             self.flushing[ch] = False
 
     def _flush_enter_forced(self, ch: int) -> None:
-        wq = self.write_q[ch]
         if (not self.flushing[ch]
-                and wq.occupancy >= self.cfg.queues.write_high_watermark):
+                and self.write_q[ch].size >= self._wq_high):
             self.flushing[ch] = True
             self.stats.forced_flushes += 1
 
@@ -282,7 +315,7 @@ class BaseController:
         Overridden by DCA: its held LRs are deliberately *not* preemptive
         (they are background work, like the writes themselves).
         """
-        return bool(self.read_q[ch].entries)
+        return self.read_q[ch].size > 0
 
     def _continue_opportunistic(self, ch: int) -> Optional[tuple[Access, AccessQueue]]:
         """Keep an in-progress idle-time write drain going.
@@ -292,11 +325,9 @@ class BaseController:
         """
         if not self._opp_flushing[ch]:
             return None
-        q = self.cfg.queues
-        wq = self.write_q[ch]
-        if (wq.entries
-                and (self.draining or wq.occupancy > q.write_low_watermark)
-                and (self._opp_batch[ch] < q.opportunistic_min_batch
+        n = self.write_q[ch].size
+        if (n and (self.draining or n >= self._wq_above_low)
+                and (self._opp_batch[ch] < self.cfg.queues.opportunistic_min_batch
                      or not self._reads_preempt(ch))):
             picked = self._pick_write(ch)
             if picked is not None:
@@ -310,9 +341,8 @@ class BaseController:
         if the write queue is above the low watermark (the paper's second
         flush trigger).  In end-of-run ``draining`` mode the watermark is
         ignored so residual writes empty out."""
-        wq = self.write_q[ch]
-        if wq.entries and (self.draining or
-                           wq.occupancy > self.cfg.queues.write_low_watermark):
+        n = self.write_q[ch].size
+        if n and (self.draining or n >= self._wq_above_low):
             picked = self._pick_write(ch)
             if picked is not None:
                 self.stats.opportunistic_flushes += 1
@@ -334,15 +364,18 @@ class BaseController:
 
     def _pick_write(self, ch: int) -> Optional[tuple[Access, AccessQueue]]:
         wq = self.write_q[ch]
-        a = self.sched[ch].pick_banked(wq.bank_buckets(),
+        a = self.sched[ch].pick_banked(wq.classes,
                                        self.device.channels[ch], self.sim.now)
         return (a, wq) if a is not None else None
 
-    def _pick_read(self, ch: int, buckets) -> Optional[tuple[Access, AccessQueue]]:
-        """Select from the read queue; ``buckets`` maps ``global_bank`` to
-        non-empty same-bank candidate groups (see ``pick_banked``)."""
+    def _pick_read(self, ch: int,
+                   classes: Sequence[Mapping[int, BucketColumns]]
+                   ) -> Optional[tuple[Access, AccessQueue]]:
+        """Select from the read queue; ``classes`` is a tuple of
+        ``global_bank -> `` non-empty same-bank candidate group maps whose
+        union is the candidate set (see ``pick_banked``)."""
         rq = self.read_q[ch]
-        a = self.sched[ch].pick_banked(buckets, self.device.channels[ch],
+        a = self.sched[ch].pick_banked(classes, self.device.channels[ch],
                                        self.sim.now)
         return (a, rq) if a is not None else None
 
@@ -362,13 +395,13 @@ class BaseController:
     # ------------------------------------------------------------------ completion
 
     def _access_complete(self, access: Access) -> None:
-        self._in_flight[access.channel] -= 1
+        self._in_flight[access.channel].popleft()
         req = access.request
         role = access.role
-        if role == AccessRole.TAG_READ:
+        if role == TAG_READ:
             self._tag_read_done(req)
-        elif role == AccessRole.DATA_READ:
-            if req.rtype == RequestType.READ:
+        elif role == DATA_READ:
+            if req.rtype == REQ_READ:
                 self._read_done(req)
             else:
                 self._victim_read_done(req)
@@ -383,7 +416,7 @@ class BaseController:
         now = self.sim.now
         outcome = self.translator.after_tag_read(req, now)
         st = self.stats
-        if req.rtype == RequestType.READ:
+        if req.rtype == REQ_READ:
             if self.mapi is not None and not req.prefetch:
                 self.mapi.update(req.core_id, req.pc, outcome.hit,
                                  req.meta.get("pred_miss", False))
@@ -454,7 +487,7 @@ class BaseController:
         if req.done_time >= 0:
             return
         self._read_done(req)
-        refill = CacheRequest(RequestType.REFILL, req.addr, req.core_id,
+        refill = CacheRequest(REQ_REFILL, req.addr, req.core_id,
                               pc=req.pc)
         self.submit(refill)
 
@@ -497,7 +530,7 @@ class BaseController:
             q.reset_accounting(now)
 
     def queues_empty(self) -> bool:
-        return (all(not q.entries for q in self.read_q)
-                and all(not q.entries for q in self.write_q)
+        return (all(not q.size for q in self.read_q)
+                and all(not q.size for q in self.write_q)
                 and all(not w for w in self.waiting_r)
                 and all(not w for w in self.waiting_w))

@@ -19,7 +19,7 @@ candidate set they hand to BLISS at each slot, not in the ordering policy.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.config import BLISSConfig
 from repro.core.access import Access
@@ -99,24 +99,25 @@ class BLISSScheduler:
                 best, best_key = a, key
         return best
 
-    def pick_banked(self, buckets: "Mapping[int, BucketColumns]",
+    def pick_banked(self, classes: "Sequence[Mapping[int, BucketColumns]]",
                     channel: Channel, now: int) -> Optional[Access]:
         """Fast-path selection over bank-bucketed candidate columns.
 
-        ``buckets`` maps ``global_bank`` to a non-empty column bucket of
-        accesses targeting that bank (the queue's incremental indexes, or
-        any filtered subset keyed the same way).  The open row is fetched
-        once per bank — ``global_bank % len(banks)`` is the channel-local
-        bank index by construction of ``AddressMapper.global_bank`` — and
-        the (blacklist, row-miss, seq) lexicographic order is evaluated
-        as the oldest candidate per (blacklisted, row-miss) class over
-        the bucket's flat int columns, returned in class order.  While no
-        core is blacklisted, a bucket whose bank has no open row (or no
-        hit on it) is a single-class group: its argmin batches into
-        C-level ``min``/``index`` with no per-candidate bytecode at all.
+        ``classes`` is a tuple of ``global_bank -> `` non-empty column
+        bucket maps (the queue's per-priority-class maps, or any filtered
+        subset keyed the same way); the candidate set is their union.
+        The open row is fetched once per bank — ``global_bank %
+        len(banks)`` is the channel-local bank index by construction of
+        ``AddressMapper.global_bank`` — and the (blacklist, row-miss,
+        seq) lexicographic order is evaluated as the oldest candidate
+        per (blacklisted, row-miss) class over the bucket's flat int
+        columns, returned in class order.  While no core is blacklisted,
+        a bucket whose bank has no open row (or no hit on it) is a
+        single-class group: its argmin batches into C-level
+        ``min``/``index`` with no per-candidate bytecode at all.
         Bit-identical to :meth:`pick` on the flattened candidate set:
-        ``seq`` is globally unique, so the argmin is unique and
-        iteration order is irrelevant.
+        ``seq`` is globally unique, so the argmin is unique and the
+        order in which maps and buckets are visited is irrelevant.
         """
         self.maybe_clear(now)
         bl = self.blacklist
@@ -132,45 +133,46 @@ class BLISSScheduler:
         # or big-int key allocation in the inner loop.
         b_hit = b_miss = b_bl_hit = b_bl_miss = None
         s_hit = s_miss = s_bl_hit = s_bl_miss = _SEQ_MAX
-        for gb, bucket in buckets.items():
-            open_row = open_rows[gb % nbanks]
-            seqs = bucket.seqs
-            rows = bucket.rows
-            if not any_bl:
-                if open_row < 0 or open_row not in rows:
-                    m = min(seqs)          # pure-miss bucket: one class
-                    if m < s_miss:
-                        s_miss = m
-                        b_miss = bucket.accs[seqs.index(m)]
+        for buckets in classes:
+            for gb, bucket in buckets.items():
+                open_row = open_rows[gb % nbanks]
+                seqs = bucket.seqs
+                rows = bucket.rows
+                if not any_bl:
+                    if open_row < 0 or open_row not in rows:
+                        m = min(seqs)      # pure-miss bucket: one class
+                        if m < s_miss:
+                            s_miss = m
+                            b_miss = bucket.accs[seqs.index(m)]
+                        continue
+                    for i in range(len(seqs)):
+                        s = seqs[i]
+                        if rows[i] == open_row:
+                            if s < s_hit:
+                                s_hit = s
+                                b_hit = bucket.accs[i]
+                        elif s < s_miss:
+                            s_miss = s
+                            b_miss = bucket.accs[i]
                     continue
+                cores = bucket.cores
                 for i in range(len(seqs)):
                     s = seqs[i]
-                    if rows[i] == open_row:
+                    if bl[cores[i]]:
+                        if rows[i] == open_row:
+                            if s < s_bl_hit:
+                                s_bl_hit = s
+                                b_bl_hit = bucket.accs[i]
+                        elif s < s_bl_miss:
+                            s_bl_miss = s
+                            b_bl_miss = bucket.accs[i]
+                    elif rows[i] == open_row:
                         if s < s_hit:
                             s_hit = s
                             b_hit = bucket.accs[i]
                     elif s < s_miss:
                         s_miss = s
                         b_miss = bucket.accs[i]
-                continue
-            cores = bucket.cores
-            for i in range(len(seqs)):
-                s = seqs[i]
-                if bl[cores[i]]:
-                    if rows[i] == open_row:
-                        if s < s_bl_hit:
-                            s_bl_hit = s
-                            b_bl_hit = bucket.accs[i]
-                    elif s < s_bl_miss:
-                        s_bl_miss = s
-                        b_bl_miss = bucket.accs[i]
-                elif rows[i] == open_row:
-                    if s < s_hit:
-                        s_hit = s
-                        b_hit = bucket.accs[i]
-                elif s < s_miss:
-                    s_miss = s
-                    b_miss = bucket.accs[i]
         if b_hit is not None:
             return b_hit
         if b_miss is not None:

@@ -26,13 +26,11 @@ all bank counters decay by one and the PR's bank is set to 7.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
-from typing import Iterable, Mapping, Sequence
-
-from repro.core.access import Access, Priority
+from repro.core.access import LR, PR, Access
 from repro.core.base import BaseController
-from repro.core.queues import AccessQueue, BankBucket, FrozenBucket
+from repro.core.queues import AccessQueue, BankBucket, FrozenBucket, first_length
 from repro.core.rrpc import RRPCTable
 from repro.dram.bank import ROW_CONFLICT
 
@@ -48,7 +46,7 @@ def ofs_naive_candidates(entries: Iterable[Access], channel, rrpc: RRPCTable,
     """
     out = []
     for a in entries:
-        if a.priority != Priority.LR:
+        if a.priority != LR:
             continue
         bank = channel.banks[channel.bank_index(a.rank, a.bank)]
         if bank.row_state(a.row) != ROW_CONFLICT:
@@ -93,12 +91,20 @@ class DCAController(BaseController):
         self.rrpc = RRPCTable(self.cfg.org.total_banks,
                               max_value=self.cfg.dca.rrpc_max)
         self.schedule_all = [False] * self.cfg.org.channels
+        q = self.cfg.queues
+        # Algorithm 1's occupancy tests as read-queue length thresholds
+        # (see ``first_length``): ScheduleAll turns on from ``_drain_on``
+        # entries and off below ``_drain_hold``.
+        self._drain_on = first_length(
+            q.read_entries, lambda occ: occ > q.lr_drain_high)
+        self._drain_hold = first_length(
+            q.read_entries, lambda occ: occ >= q.lr_drain_low)
 
     def _route(self, access: Access) -> str:
         return "write" if access.is_write else "read"
 
     def _on_issued(self, access: Access) -> None:
-        if access.priority == Priority.PR:
+        if access.priority == PR:
             self.rrpc.on_priority_read(access.global_bank)
 
     # -- Algorithm 1 ---------------------------------------------------------------
@@ -108,10 +114,10 @@ class DCAController(BaseController):
             # End-of-run flush: held LRs must leave regardless of OFS.
             self.schedule_all[ch] = True
             return
-        occ = self.read_q[ch].occupancy
-        if occ > self.cfg.queues.lr_drain_high:
+        n = self.read_q[ch].size
+        if n >= self._drain_on:
             self.schedule_all[ch] = True
-        elif occ < self.cfg.queues.lr_drain_low:
+        elif n < self._drain_hold:
             self.schedule_all[ch] = False
 
     def _ofs_candidates(self, ch: int) -> list[Access]:
@@ -130,7 +136,7 @@ class DCAController(BaseController):
         Same candidate set as :meth:`_ofs_candidates`, computed with one
         row-state and one RRPC check per *bank* instead of per access.
         """
-        return ofs_bucket_filter(self.read_q[ch].lr_bank_buckets(),
+        return ofs_bucket_filter(self.read_q[ch].lr_banks,
                                  self.device.channels[ch].open_rows,
                                  self.rrpc, self.cfg.dca.flushing_factor)
 
@@ -150,17 +156,17 @@ class DCAController(BaseController):
         self._update_schedule_all(ch)
         rq = self.read_q[ch]
         if self.schedule_all[ch]:
-            picked = self._pick_read(ch, rq.bank_buckets())
+            picked = self._pick_read(ch, rq.classes)
             if picked is not None:
-                if picked[0].priority == Priority.LR:
+                if picked[0].priority == LR:
                     self.stats.lr_drain_issues += 1
                 return picked
         else:
-            picked = self._pick_read(ch, rq.pr_bank_buckets())
+            picked = self._pick_read(ch, rq.pr_only)
             if picked is not None:
                 return picked
             # Algorithm 1 line 15-18: no PR was ready -> OFS flush.
-            picked = self._pick_read(ch, self._ofs_buckets(ch))
+            picked = self._pick_read(ch, (self._ofs_buckets(ch),))
             if picked is not None:
                 self.stats.lr_ofs_issues += 1
                 return picked
@@ -171,5 +177,5 @@ class DCAController(BaseController):
         """Only *priority* reads preempt an idle-time write drain: held LRs
         are background work like the writes themselves."""
         if self.schedule_all[ch]:
-            return bool(self.read_q[ch].entries)
+            return self.read_q[ch].size > 0
         return self.read_q[ch].pr_count > 0

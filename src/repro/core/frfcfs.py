@@ -8,7 +8,7 @@ that claim and is exercised by the ablation benchmark).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.core.access import Access
 from repro.core.queues import BankBucket, FrozenBucket
@@ -46,39 +46,42 @@ class FRFCFSScheduler:
                 best, best_key = a, key
         return best
 
-    def pick_banked(self, buckets: "Mapping[int, BankBucket | FrozenBucket]",
+    def pick_banked(self,
+                    classes: "Sequence[Mapping[int, BankBucket | FrozenBucket]]",
                     channel: Channel, now: int) -> Optional[Access]:
         """Fast-path selection over bank-bucketed candidate columns (see
         BLISS).
 
-        ``buckets`` maps ``global_bank`` to same-bank column buckets; the
-        oldest row-hit wins, else the oldest access.  A bucket with no
-        hit on its bank's open row is one class, so its argmin batches
-        into C-level ``min``/``index`` over the ``seqs`` column.
-        Bit-identical to :meth:`pick` on the flattened set: the unique
-        ``seq`` tiebreak makes the argmin independent of iteration order.
+        ``classes`` is a tuple of ``global_bank -> `` same-bank column
+        bucket maps whose union is the candidate set; the oldest row-hit
+        wins, else the oldest access.  A bucket with no hit on its bank's
+        open row is one class, so its argmin batches into C-level
+        ``min``/``index`` over the ``seqs`` column.  Bit-identical to
+        :meth:`pick` on the flattened set: the unique ``seq`` tiebreak
+        makes the argmin independent of visit order.
         """
         open_rows = channel.open_rows   # SoA: -1 = closed (see BLISS)
         nbanks = len(open_rows)
         b_hit = b_miss = None
         s_hit = s_miss = _SEQ_MAX
-        for gb, bucket in buckets.items():
-            open_row = open_rows[gb % nbanks]
-            seqs = bucket.seqs
-            rows = bucket.rows
-            if open_row < 0 or open_row not in rows:
-                m = min(seqs)              # pure-miss bucket: one class
-                if m < s_miss:
-                    s_miss = m
-                    b_miss = bucket.accs[seqs.index(m)]
-                continue
-            for i in range(len(seqs)):
-                s = seqs[i]
-                if rows[i] == open_row:
-                    if s < s_hit:
-                        s_hit = s
-                        b_hit = bucket.accs[i]
-                elif s < s_miss:
-                    s_miss = s
-                    b_miss = bucket.accs[i]
+        for buckets in classes:
+            for gb, bucket in buckets.items():
+                open_row = open_rows[gb % nbanks]
+                seqs = bucket.seqs
+                rows = bucket.rows
+                if open_row < 0 or open_row not in rows:
+                    m = min(seqs)          # pure-miss bucket: one class
+                    if m < s_miss:
+                        s_miss = m
+                        b_miss = bucket.accs[seqs.index(m)]
+                    continue
+                for i in range(len(seqs)):
+                    s = seqs[i]
+                    if rows[i] == open_row:
+                        if s < s_hit:
+                            s_hit = s
+                            b_hit = bucket.accs[i]
+                    elif s < s_miss:
+                        s_miss = s
+                        b_miss = bucket.accs[i]
         return b_hit if b_hit is not None else b_miss

@@ -7,19 +7,17 @@ new requests*: continuation accesses of an in-flight request (the RD/WT
 that follow a completed tag read) always fit, mirroring how real
 controllers reserve slots for request continuations to avoid deadlock.
 
-Scheduling indexes
-------------------
-Every push/remove incrementally maintains three index structures so the
-per-slot scheduling decision never rescans the whole pool:
-
-* a **position map** (``access -> index`` into ``entries``) making removal
-  O(1) via swap-pop;
-* **per-priority partitions** — insertion-ordered sets of the PR and LR
-  read classes, giving O(1) ``pr_count``/``lr_count`` and O(k) views;
-* **per-bank buckets** (``global_bank -> `` :class:`BankBucket`) for all
-  entries and for each read class, so row-hit classification is done once
-  per *bank* instead of once per *access* and DCA's OFS candidate set is
-  a bucket walk instead of a full-queue filter.
+Scheduling layout
+-----------------
+Every queued access sits in exactly one place: the
+``global_bank -> `` :class:`BankBucket` map of its priority class (PR,
+LR or WRITE — ``Access.priority``).  Integer counters give the queue
+length and the PR/LR counts without a scan.  A scheduling decision hands
+the schedulers' ``pick_banked`` a tuple of the class maps it may pick
+from (``classes`` for the whole queue, ``pr_only`` for DCA's priority
+reads, or a filtered map for OFS), so row-hit classification is done
+once per *bank* instead of once per *access* and no per-decision
+candidate list is ever built.
 
 Buckets are **struct-of-arrays**: each keeps the scheduler-relevant
 fields of its members (``seqs`` / ``rows`` / ``cores``) as parallel flat
@@ -29,38 +27,35 @@ classification (row hit? blacklisted? age) batches into list index math
 per bank with no per-candidate attribute chases, and only the winning
 index dereferences an ``Access``.
 
-Swap-pop perturbs the order of ``entries`` and of the bucket columns,
-which is safe because every selection policy in this codebase totally
-orders candidates with the globally unique ``Access.seq`` as the final
-tiebreak: the argmin is unique, hence independent of iteration order
-(see DESIGN.md, "Indexed scheduling fast path").
+Which map or bucket the scheduler visits first cannot change its pick:
+every selection policy in this codebase totally orders candidates with
+the globally unique ``Access.seq`` as the final tiebreak, so the argmin
+is unique and independent of visit order (see DESIGN.md, "Indexed
+scheduling fast path").
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from repro.core.access import Access, Priority
+from repro.core.access import LR, PR, Access
 
 
 class BankBucket:
     """Same-bank candidates as parallel columns (one slot per access).
 
     ``accs[i]`` / ``seqs[i]`` / ``rows[i]`` / ``cores[i]`` describe one
-    queued access; removal is swap-pop on all four columns at once.
-    The scheduler fast paths read the int columns directly; iteration
-    yields the access objects (order is scan order, not age — safe, see
-    module docstring).
+    queued access, in arrival order.  The scheduler fast paths read the
+    int columns directly; iteration yields the access objects.
     """
 
-    __slots__ = ("accs", "seqs", "rows", "cores", "_pos")
+    __slots__ = ("accs", "seqs", "rows", "cores")
 
     def __init__(self) -> None:
         self.accs: list[Access] = []
         self.seqs: list[int] = []
         self.rows: list[int] = []
         self.cores: list[int] = []
-        self._pos: Dict[Access, int] = {}
 
     def __len__(self) -> int:
         return len(self.accs)
@@ -69,29 +64,25 @@ class BankBucket:
         return iter(self.accs)
 
     def __contains__(self, access: Access) -> bool:
-        return access in self._pos
+        return access in self.accs
 
     def add(self, access: Access) -> None:
-        self._pos[access] = len(self.accs)
         self.accs.append(access)
         self.seqs.append(access.seq)
         self.rows.append(access.row)
         self.cores.append(access.core_id)
 
     def discard(self, access: Access) -> bool:
-        """Swap-pop ``access`` out of every column; True when emptied."""
+        """Delete ``access`` from every column; True when emptied.
+
+        Raises ValueError when ``access`` is not in the bucket.  A bucket
+        holds the few queued accesses of one bank and class, so the
+        C-level identity scan of ``list.index`` is cheaper than keeping
+        a position map up to date.
+        """
         accs = self.accs
-        idx = self._pos.pop(access)
-        last = accs.pop()
-        last_seq = self.seqs.pop()
-        last_row = self.rows.pop()
-        last_core = self.cores.pop()
-        if last is not access:
-            accs[idx] = last
-            self.seqs[idx] = last_seq
-            self.rows[idx] = last_row
-            self.cores[idx] = last_core
-            self._pos[last] = idx
+        i = accs.index(access)
+        del accs[i], self.seqs[i], self.rows[i], self.cores[i]
         return not accs
 
     def row_hits(self, open_row: int) -> "FrozenBucket":
@@ -130,104 +121,112 @@ class FrozenBucket:
         return iter(self.accs)
 
 
+#: ``global_bank -> bucket`` map of one priority class.
+ClassMap = dict[int, BankBucket]
+
+
 class AccessQueue:
     """A bounded scheduling pool (not FIFO: schedulers pick by policy)."""
 
-    __slots__ = ("capacity", "entries", "_pos", "_pr", "_lr",
-                 "_banks", "_pr_banks", "_lr_banks",
+    __slots__ = ("capacity", "size", "pr_count", "lr_count",
+                 "pr_banks", "lr_banks", "write_banks", "classes", "pr_only",
                  "_occupancy_integral", "_last_t", "_t0")
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("queue capacity must be positive")
         self.capacity = capacity
-        self.entries: list[Access] = []
-        #: access -> index into ``entries`` (O(1) membership + removal)
-        self._pos: Dict[Access, int] = {}
-        # Insertion-ordered sets (dicts with None values): per-priority
-        # partitions of the read classes.  Buckets are column stores.
-        self._pr: Dict[Access, None] = {}
-        self._lr: Dict[Access, None] = {}
-        self._banks: Dict[int, BankBucket] = {}
-        self._pr_banks: Dict[int, BankBucket] = {}
-        self._lr_banks: Dict[int, BankBucket] = {}
+        #: queued accesses in total, and in the PR and LR read classes
+        self.size = 0
+        self.pr_count = 0
+        self.lr_count = 0
+        # One ``global_bank -> bucket`` map per priority class; empty
+        # buckets are deleted, so iteration is proportional to the
+        # occupied banks.
+        self.pr_banks: ClassMap = {}
+        self.lr_banks: ClassMap = {}
+        self.write_banks: ClassMap = {}
+        #: the class maps indexed by ``Priority`` value: the whole queue
+        #: as ``pick_banked`` takes it
+        self.classes: tuple[ClassMap, ...] = (
+            self.pr_banks, self.lr_banks, self.write_banks)
+        #: the PR class alone (DCA's normal scheduling slot)
+        self.pr_only: tuple[ClassMap, ...] = (self.pr_banks,)
         # time-weighted occupancy, for average-occupancy reporting
         self._occupancy_integral = 0
         self._last_t = 0
         self._t0 = 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.size
 
     def __iter__(self) -> Iterator[Access]:
         return iter(self.entries)
 
     def __contains__(self, access: Access) -> bool:
-        return access in self._pos
+        bucket = self.classes[access.priority].get(access.global_bank)
+        return bucket is not None and access in bucket
+
+    @property
+    def entries(self) -> list[Access]:
+        """The queued accesses, oldest (lowest ``seq``) first; O(n log n).
+
+        Derived for snapshots, the naive reference selectors and tests;
+        the scheduling path never builds it.
+        """
+        return sorted((a for banks in self.classes
+                       for bucket in banks.values() for a in bucket.accs),
+                      key=_seq_of)
 
     @property
     def occupancy(self) -> float:
         """Fill fraction; may exceed 1.0 transiently via continuations."""
-        return len(self.entries) / self.capacity
+        return self.size / self.capacity
 
     def has_room(self) -> bool:
         """Admission check for *new* requests."""
-        return len(self.entries) < self.capacity
+        return self.size < self.capacity
 
     def push(self, access: Access, now: int = 0) -> None:
         """Add an access (continuations may exceed nominal capacity)."""
-        self._account(now)
-        entries = self.entries
-        self._pos[access] = len(entries)
-        entries.append(access)
-        gb = access.global_bank
-        bucket = self._banks.get(gb)
-        if bucket is None:
-            bucket = self._banks[gb] = BankBucket()
-        bucket.add(access)
+        if now > self._last_t:
+            self._account(now)
         prio = access.priority
-        if prio == Priority.PR:
-            self._pr[access] = None
-            pb = self._pr_banks.get(gb)
-            if pb is None:
-                pb = self._pr_banks[gb] = BankBucket()
-            pb.add(access)
-        elif prio == Priority.LR:
-            self._lr[access] = None
-            lb = self._lr_banks.get(gb)
-            if lb is None:
-                lb = self._lr_banks[gb] = BankBucket()
-            lb.add(access)
+        if prio == PR:
+            self.pr_count += 1
+        elif prio == LR:
+            self.lr_count += 1
+        self.size += 1
+        banks = self.classes[prio]
+        gb = access.global_bank
+        bucket = banks.get(gb)
+        if bucket is None:
+            bucket = banks[gb] = BankBucket()
+        bucket.add(access)
 
     def remove(self, access: Access, now: int = 0) -> None:
-        self._account(now)
-        try:
-            idx = self._pos.pop(access)
-        except KeyError:
-            raise ValueError("access not in queue") from None
-        entries = self.entries
-        last = entries.pop()
-        if last is not access:        # swap-pop: O(1), order-insensitive
-            entries[idx] = last
-            self._pos[last] = idx
-        gb = access.global_bank
-        if self._banks[gb].discard(access):
-            del self._banks[gb]
+        if now > self._last_t:
+            self._account(now)
         prio = access.priority
-        if prio == Priority.PR:
-            del self._pr[access]
-            if self._pr_banks[gb].discard(access):
-                del self._pr_banks[gb]
-        elif prio == Priority.LR:
-            del self._lr[access]
-            if self._lr_banks[gb].discard(access):
-                del self._lr_banks[gb]
+        banks = self.classes[prio]
+        gb = access.global_bank
+        try:
+            emptied = banks[gb].discard(access)
+        except (KeyError, ValueError):
+            raise ValueError("access not in queue") from None
+        if emptied:
+            del banks[gb]
+        self.size -= 1
+        if prio == PR:
+            self.pr_count -= 1
+        elif prio == LR:
+            self.lr_count -= 1
 
     # -- occupancy accounting ---------------------------------------------------
 
     def _account(self, now: int) -> None:
         if now > self._last_t:
-            self._occupancy_integral += len(self.entries) * (now - self._last_t)
+            self._occupancy_integral += self.size * (now - self._last_t)
             self._last_t = now
 
     def reset_accounting(self, now: int) -> None:
@@ -247,75 +246,86 @@ class AccessQueue:
         span = now - self._t0
         return self._occupancy_integral / span if span > 0 else 0.0
 
-    # -- index accessors (the scheduling fast path) -----------------------------
-
-    @property
-    def pr_count(self) -> int:
-        """Queued PR-class (demand-read) accesses, O(1)."""
-        return len(self._pr)
-
-    @property
-    def lr_count(self) -> int:
-        """Queued LR-class (writeback/refill tag-read) accesses, O(1)."""
-        return len(self._lr)
-
-    def bank_buckets(self) -> Dict[int, BankBucket]:
-        """``global_bank -> column bucket`` over **all** entries.
-
-        Read-only view of live internal state: callers must not mutate it,
-        and must not push/remove while iterating.
-        """
-        return self._banks
-
-    def pr_bank_buckets(self) -> Dict[int, BankBucket]:
-        """Per-bank buckets restricted to PR-class accesses (read-only)."""
-        return self._pr_banks
-
-    def lr_bank_buckets(self) -> Dict[int, BankBucket]:
-        """Per-bank buckets restricted to LR-class accesses (read-only)."""
-        return self._lr_banks
-
     # -- filtered views used by the designs -------------------------------------
 
     def priority_reads(self) -> list[Access]:
-        return list(self._pr)
+        return sorted((a for bucket in self.pr_banks.values() for a in bucket),
+                      key=_seq_of)
 
     def low_priority_reads(self) -> list[Access]:
-        return list(self._lr)
+        return sorted((a for bucket in self.lr_banks.values() for a in bucket),
+                      key=_seq_of)
 
     def filtered(self, pred: Callable[[Access], bool]) -> list[Access]:
         return [a for a in self.entries if pred(a)]
 
     def oldest(self) -> Optional[Access]:
-        if not self.entries:
-            return None
-        return min(self.entries, key=lambda a: a.seq)
+        entries = self.entries
+        return entries[0] if entries else None
 
     # -- self-checks (tests only; O(n)) -----------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert every index is consistent with ``entries`` (test hook)."""
-        assert len(self._pos) == len(self.entries)
-        for i, a in enumerate(self.entries):
-            assert self._pos[a] == i
-        prs = [a for a in self.entries if a.priority == Priority.PR]
-        lrs = [a for a in self.entries if a.priority == Priority.LR]
-        assert set(self._pr) == set(prs) and len(self._pr) == len(prs)
-        assert set(self._lr) == set(lrs) and len(self._lr) == len(lrs)
-        for name, index, universe in (
-                ("banks", self._banks, self.entries),
-                ("pr_banks", self._pr_banks, prs),
-                ("lr_banks", self._lr_banks, lrs)):
-            flat = [a for bucket in index.values() for a in bucket]
-            assert len(flat) == len(universe), name
-            assert set(flat) == set(universe), name
-            for gb, bucket in index.items():
-                assert bucket, f"{name}: empty bucket {gb}"
-                assert all(a.global_bank == gb for a in bucket), name
-                # Column coherence: every parallel lane describes its
-                # access, and the position map inverts the layout.
-                for i, a in enumerate(bucket.accs):
-                    assert bucket.seqs[i] == a.seq, name
-                    assert bucket.rows[i] == a.row, name
-                    assert bucket.cores[i] == a.core_id, name
-                    assert bucket._pos[a] == i, name
+        """Assert the per-class layout is consistent (test hook).
+
+        Every access sits in exactly one bucket — the one of its own
+        class and bank — the counters equal the bucket sizes, no bucket
+        is empty, and every column lane describes its access.
+        """
+        counts: list[int] = []
+        seen: set[int] = set()
+        for prio, banks in enumerate(self.classes):
+            n = 0
+            for gb, bucket in banks.items():
+                assert bucket, f"class {prio}: empty bucket {gb}"
+                assert (len(bucket.accs) == len(bucket.seqs)
+                        == len(bucket.rows) == len(bucket.cores)), (prio, gb)
+                for a, seq, row, core in zip(bucket.accs, bucket.seqs,
+                                             bucket.rows, bucket.cores):
+                    assert a.priority == prio and a.global_bank == gb
+                    assert (seq, row, core) == (a.seq, a.row, a.core_id)
+                    assert id(a) not in seen, f"{a!r} queued twice"
+                    seen.add(id(a))
+                n += len(bucket)
+            counts.append(n)
+        assert self.pr_banks is self.classes[PR]
+        assert self.lr_banks is self.classes[LR]
+        assert self.pr_only == (self.pr_banks,)
+        assert (self.pr_count, self.lr_count) == (counts[PR], counts[LR])
+        assert self.size == sum(counts)
+
+
+def _seq_of(access: Access) -> int:
+    return access.seq
+
+
+#: Queue lengths at or above this count as "never reached".
+_NEVER = 1 << 62
+
+
+def first_length(capacity: int, holds: Callable[[float], bool]) -> int:
+    """Smallest queue length ``n`` with ``holds(n / capacity)`` true.
+
+    ``holds`` is an occupancy test that is false below some fill level
+    and true from it on (``occ > x``, ``occ >= x``).  The controllers
+    compare queue lengths against these precomputed thresholds instead of
+    dividing per decision; because the threshold is found by evaluating
+    the float predicate itself, ``n >= first_length(c, holds)`` agrees
+    with ``holds(n / c)`` for every ``n`` with no rounding argument.
+    Returns ``_NEVER`` when the test holds at no reachable length.
+    """
+    if holds(0 / capacity):
+        return 0
+    hi = 1
+    while not holds(hi / capacity):     # exponential search for a bound
+        if hi >= _NEVER:
+            return _NEVER
+        hi *= 2
+    lo = hi // 2                        # holds(hi) and not holds(lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid / capacity):
+            hi = mid
+        else:
+            lo = mid
+    return hi

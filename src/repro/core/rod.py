@@ -6,8 +6,13 @@ read goes to the read queue; everything belonging to a writeback or refill
 exception (paper footnote 1) is the tag *write* of a read request, which
 goes to the write queue for performance.
 
-This eliminates read priority inversion and most RRC by construction, but
-the write queue now holds a mixture of bus reads and bus writes: draining
+This keeps writeback/refill tag reads (RTw) out of the read queue, so
+they never compete there with demand reads and most RRC disappears by
+construction.  It does not make read priority inversion impossible: RTw
+still issue from the write queue during flushes while demand reads wait,
+and ``ControllerStats.read_priority_inversions`` counts every LR-class
+issue made while a PR-class read waits in the read queue.  The write
+queue now holds a mixture of bus reads and bus writes: draining
 it bounces the bus direction back and forth (turnaround storms), and the
 RTw work that CD performed opportunistically during read idle time is now
 deferred until a flush — so flushes are longer and delay subsequent reads.
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.access import Access, AccessRole, RequestType
+from repro.core.access import REQ_READ, TAG_WRITE, Access
 from repro.core.base import BaseController
 from repro.core.queues import AccessQueue
 
@@ -30,9 +35,9 @@ class RODController(BaseController):
     design = "ROD"
 
     def _route(self, access: Access) -> str:
-        if access.request.rtype == RequestType.READ:
+        if access.request.rtype == REQ_READ:
             # Footnote 1: WTr goes to the write queue even in ROD.
-            if access.role == AccessRole.TAG_WRITE:
+            if access.role == TAG_WRITE:
                 return "write"
             return "read"
         return "write"
@@ -48,7 +53,7 @@ class RODController(BaseController):
         picked = self._continue_opportunistic(ch)
         if picked is not None:
             return picked
-        picked = self._pick_read(ch, self.read_q[ch].bank_buckets())
+        picked = self._pick_read(ch, self.read_q[ch].classes)
         if picked is not None:
             return picked
         return self._start_opportunistic(ch)

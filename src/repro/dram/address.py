@@ -118,7 +118,8 @@ class AddressMapper:
                  "_block_bits", "_col_bits", "_ch_bits", "_ra_bits",
                  "_ba_bits", "_col_mask", "_ch_mask", "_ra_mask", "_ba_mask",
                  "_col_shift", "_ch_shift", "_ra_shift", "_ba_shift",
-                 "_row_shift", "_ch_xor")
+                 "_row_shift", "_ch_xor", "_banks_per_rank",
+                 "_banks_per_channel")
 
     def __init__(self, org: DRAMOrganization, xor_remap: bool = False):
         self.org = org
@@ -152,9 +153,17 @@ class AddressMapper:
         self._ba_shift = shifts["ba"]
         self._row_shift = shift
         self._ch_xor = self.policy.channel_xor
+        self._banks_per_rank = org.banks_per_rank
+        self._banks_per_channel = org.ranks_per_channel * org.banks_per_rank
 
-    def decode(self, addr: int) -> DecodedAddress:
-        """Decode a byte address into DRAM coordinates."""
+    def locate(self, addr: int) -> tuple[int, int, int, int, int, int]:
+        """``(channel, rank, bank, row, col, global_bank)`` of a byte address.
+
+        The one decoder: :meth:`decode` wraps its first five fields in a
+        :class:`DecodedAddress`, and the controller's per-access path
+        takes the plain tuple (no NamedTuple build, no second call for
+        the global bank).
+        """
         if addr < 0:
             raise ValueError(f"negative address: {addr}")
         col = (addr >> self._col_shift) & self._col_mask
@@ -166,7 +175,13 @@ class AddressMapper:
             channel ^= row & self._ch_mask
         if self.xor_remap:
             bank ^= row & self._ba_mask
-        return DecodedAddress(channel, rank, bank, row, col)
+        return (channel, rank, bank, row, col,
+                (channel * self._banks_per_channel
+                 + rank * self._banks_per_rank + bank))
+
+    def decode(self, addr: int) -> DecodedAddress:
+        """Decode a byte address into DRAM coordinates."""
+        return DecodedAddress(*self.locate(addr)[:5])
 
     def encode(self, d: DecodedAddress) -> int:
         """Inverse of :meth:`decode` (useful in tests; bijective per channel)."""
@@ -184,8 +199,8 @@ class AddressMapper:
 
     def global_bank(self, d: DecodedAddress) -> int:
         """Flatten (channel, rank, bank) to one index in [0, total_banks)."""
-        per_ch = self.org.ranks_per_channel * self.org.banks_per_rank
-        return d.channel * per_ch + d.rank * self.org.banks_per_rank + d.bank
+        return (d.channel * self._banks_per_channel
+                + d.rank * self._banks_per_rank + d.bank)
 
     def row_of(self, addr: int) -> int:
         """Fast row extraction without building a tuple."""

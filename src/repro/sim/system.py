@@ -23,12 +23,13 @@ its own finish, matching the paper's fast-forward-then-measure flow.
 from __future__ import annotations
 
 import dataclasses
+import gc
 from dataclasses import dataclass, field, replace
 from typing import Any, ClassVar, Mapping, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.core import make_controller
-from repro.core.access import CacheRequest, RequestType
+from repro.core.access import REQ_READ, REQ_WRITEBACK, CacheRequest
 from repro.mem.llc_writeback import DRAMAwareWritebackIndex
 from repro.mem.mainmem import BankedMainMemory
 from repro.mem.mshr import MSHREntry, MSHRFile
@@ -325,7 +326,7 @@ class System:
             # controller first: its pending-write entry then serves the
             # read by forwarding instead of a stale array fetch.
             self.writebuf.flush(addr)
-            req = CacheRequest(RequestType.READ, addr, core.core_id, pc=pc,
+            req = CacheRequest(REQ_READ, addr, core.core_id, pc=pc,
                                on_done=self._l2_fill_done)
             self.controller.submit(req)
         return MISS, 0
@@ -347,7 +348,7 @@ class System:
             st.issued += 1
             self.writebuf.flush(addr)
             self.controller.submit(
-                CacheRequest(RequestType.READ, addr, core_id,
+                CacheRequest(REQ_READ, addr, core_id,
                              on_done=self._l2_fill_done, prefetch=True))
 
     def register_load(self, core: Core, token: int) -> None:
@@ -396,7 +397,7 @@ class System:
     def _submit_writeback(self, addr: int, core_id: int) -> None:
         """Write-buffer drain sink: hand one writeback to the controller."""
         self.controller.submit(
-            CacheRequest(RequestType.WRITEBACK, addr, core_id))
+            CacheRequest(REQ_WRITEBACK, addr, core_id))
 
     # ------------------------------------------------------------- lifecycle
 
@@ -431,6 +432,12 @@ class System:
         core's trace through the functional L2 + DRAM-cache state, warming
         L2 contents, dirty bits and stream positions.
         """
+        # A sweep's finished systems are cyclic garbage (cores, controller
+        # and engine callbacks refer to one another) that only a full
+        # collection frees.  Collecting before this system fills its
+        # caches bounds peak memory at about one system's state, instead
+        # of wherever CPython's generation-2 threshold happens to trip.
+        gc.collect()
         array = self.controller.array
         scale = self._footprint_scale
         if prefill:

@@ -64,7 +64,11 @@ from typing import Any, Optional
 #: and the main-memory image is the model's own capture_state dict (flat
 #: bus_free or banked per-channel substrate state) instead of a bare int.
 #: v3: the DRAM-cache array payload changed from a set dict to three byte strings.
-SNAPSHOT_SCHEMA_VERSION = 3
+#: v4: controller access queues keep one bank-bucket map per priority
+#: class (no entries list or position maps), the controller's in-flight
+#: state is per-channel deques of burst end times instead of counts, and
+#: ``DRAMCacheArray.is_direct_mapped`` became an instance attribute.
+SNAPSHOT_SCHEMA_VERSION = 4
 
 #: Version of the :class:`WarmState` payload (independent of the full
 #: snapshot: warm states are a narrow, explicitly-enumerated subset).
@@ -286,7 +290,7 @@ def state_signature(system) -> dict:
     sig["controller"] = {
         "flushing": list(ctl.flushing),
         "decision_pending": list(ctl._decision_pending),
-        "in_flight": list(ctl._in_flight),
+        "in_flight": [list(ends) for ends in ctl._in_flight],
         "opp_flushing": list(ctl._opp_flushing),
         "opp_batch": list(ctl._opp_batch),
         "draining": ctl.draining,

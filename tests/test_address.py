@@ -302,3 +302,18 @@ class TestEncodeDecodeRoundTrip:
         m = AddressMapper(DRAMOrganization(), xor_remap=remap)
         addr &= ~63
         assert m.row_of(m.encode(m.decode(addr))) == m.row_of(addr)
+
+
+@given(st.integers(min_value=0, max_value=2**40),
+       st.sampled_from(INTERLEAVE_POLICIES),
+       st.sampled_from([1, 2, 4]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_locate_is_decode_plus_global_bank(addr, policy, ranks, remap):
+    """The controller's plain-tuple decoder agrees with ``decode`` and
+    flattens (channel, rank, bank) channel-major."""
+    org = DRAMOrganization(ranks_per_channel=ranks, interleave=policy)
+    m = AddressMapper(org, xor_remap=remap)
+    d = m.decode(addr)
+    gb = (d.channel * ranks + d.rank) * org.banks_per_rank + d.bank
+    assert m.locate(addr) == (*d, gb)
+    assert m.global_bank(d) == gb

@@ -8,7 +8,8 @@ callbacks and design-specific scheduling behavior.
 import pytest
 
 from repro.core import CDController, DCAController, RODController, make_controller
-from repro.core.access import CacheRequest, RequestType
+from repro.core.access import Access, AccessRole, CacheRequest, RequestType
+from repro.experiments.common import RunSpec, SimParams, build_system
 from repro.sim.engine import Simulator
 
 
@@ -240,3 +241,82 @@ class TestAllDesignsDrain:
         assert ctrl.queues_empty()
         stats = ctrl.device.total_stats()
         assert stats.total_accesses > 0
+
+
+class TestDecideSkip:
+    """A kick while the issue window is full schedules a decide only when
+    a burst of that channel ends now.  Bursts on one channel end in issue
+    order, so any other decide would issue nothing."""
+
+    def setup(self, tiny_cfg):
+        """A CD controller and ``window + 1`` demand tag reads to distinct
+        banks of channel 0 (one more than the window holds)."""
+        sim, ctrl = build("CD", tiny_cfg, use_mapi=False)
+        window = ctrl.cfg.queues.issue_window
+        bpr = ctrl.cfg.org.banks_per_rank
+        accs = []
+        for i in range(window + 1):
+            req = CacheRequest(RequestType.READ, 0x4000 + 64 * i, 0)
+            rank, bank = divmod(i, bpr)
+            accs.append(Access(AccessRole.TAG_READ, req, 0, rank, bank, 0,
+                               0, i, 0, seq=i + 1))
+        return sim, ctrl, accs
+
+    def test_full_window_kick_schedules_nothing(self, tiny_cfg):
+        sim, ctrl, accs = self.setup(tiny_cfg)
+        last = accs.pop()
+        for a in accs:
+            ctrl._enqueue(a)
+        sim.run(max_events=1)            # one decide fills the window
+        ends = ctrl._in_flight[0]
+        assert len(ends) == len(accs) and ends[0] > sim.now == 0
+        before = sim.pending()
+        ctrl._enqueue(last)
+        assert sim.pending() == before
+        assert not ctrl._decision_pending[0]
+        assert last in ctrl.read_q[0]
+        # The oldest burst's completion kicks the decide that issues it.
+        first_end = ends[0]
+        sim.run(until=first_end)
+        assert last not in ctrl.read_q[0]
+        assert len(ctrl._in_flight[0]) == len(accs)
+
+    def test_completion_due_now_still_decides(self, tiny_cfg):
+        sim, ctrl, accs = self.setup(tiny_cfg)
+        for a in accs[:-1]:
+            ctrl._enqueue(a)
+        sim.run(max_events=1)
+        first_end = ctrl._in_flight[0][0]
+
+        # Same run again, with an arrival at ``first_end`` scheduled
+        # before the decide issues: it runs ahead of the completion due
+        # at that time, while the window is still full.
+        sim, ctrl, accs = self.setup(tiny_cfg)
+        last = accs.pop()
+        seen = []
+
+        def arrive(_):
+            before = sim.pending()
+            ctrl._enqueue(last)
+            seen.append((len(ctrl._in_flight[0]), ctrl._in_flight[0][0],
+                         sim.pending() - before))
+
+        sim.at(first_end, arrive)
+        for a in accs:
+            ctrl._enqueue(a)
+        sim.run(until=first_end)
+        assert seen == [(len(accs), first_end, 1)]   # full, due now: decide
+        assert sim.now == first_end
+        assert last not in ctrl.read_q[0]            # issued at first_end
+
+    @pytest.mark.parametrize("design,events", [
+        ("CD", 51339), ("ROD", 48398), ("DCA", 49220)])
+    def test_fig08_quick_event_counts(self, design, events):
+        """Engine events of the fig08_quick golden points: a no-op decide
+        brought back shows up here as a count change."""
+        params = SimParams.quick()
+        system = build_system(RunSpec(design, "sa", mix_id=1), params)
+        system.run(warmup_insts=params.warmup_insts,
+                   measure_insts=params.measure_insts,
+                   replay_accesses=params.replay_accesses)
+        assert system.sim.events_run == events

@@ -92,6 +92,26 @@ def test_engine_file_scope():
     assert run.execute() == []
 
 
+def test_enum_load_scope():
+    """R3's enum-load check covers the per-access code only."""
+    src = textwrap.dedent("""\
+        from repro.core.access import Priority
+
+        def is_lr(a):
+            return a.priority == Priority.LR
+    """)
+    flagged = ("repro/core/base.py", "repro/cache/translator.py",
+               "repro/sim/system.py", "repro/dram/channel.py",
+               "repro/mem/sram.py")
+    quiet = ("repro/cache/dramcache.py", "repro/experiments/common.py",
+             "repro/bench/decision_loop.py", "outside.py")
+    for path in flagged + quiet:
+        mod = SourceModule(Path("src") / path, src)
+        run = LintRun(modules=[mod], rules=all_rules(), project_root=None)
+        got = {(f.line, f.rule) for f in run.execute()}
+        assert got == ({(4, "R3")} if path in flagged else set()), path
+
+
 # --- suppressions ---------------------------------------------------------
 
 def test_line_suppression_is_rule_specific():

@@ -237,8 +237,9 @@ class TestBulkFillMany:
         assert _state(a) == _state(b)
 
     def test_cow_overlay_is_not_treated_as_pristine(self):
-        """After capture_state() the sets dict is a copy-on-write overlay
-        whose emptiness does not mean the array is empty."""
+        """capture_state() copies the columns out and leaves the array
+        (and its non-zero clock) as it was, so a later bulk_fill_many
+        still sees a used array and matches sequential bulk_fill."""
         a = DRAMCacheArray(GEOM, "sa")
         b = DRAMCacheArray(GEOM, "sa")
         for arr in (a, b):

@@ -1,7 +1,8 @@
 """Indexed scheduling fast path: bit-identity with the naive scan path,
 and DCA ScheduleAll hysteresis boundary pinning.
 
-The fast path (``AccessQueue`` bank buckets + ``pick_banked`` +
+The fast path (``AccessQueue`` per-class bank bucket maps +
+``pick_banked`` over a tuple of them +
 ``DCAController._ofs_buckets``) must select exactly the access the naive
 reference selectors (``pick`` over flat candidate lists,
 ``_ofs_candidates``) would.  ``Access.seq`` is globally unique and the
@@ -13,10 +14,12 @@ blacklists and RRPC states.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.config import BLISSConfig, DRAMOrganization, DRAMTimings
+from repro.config import BLISSConfig, DRAMOrganization, DRAMTimings, scaled_config
 from repro.core import make_controller
 from repro.core.access import Access, AccessRole, CacheRequest, Priority, RequestType
 from repro.core.bliss import BLISSScheduler
@@ -65,7 +68,7 @@ class TestPickEquivalence:
         for c in range(NUM_CORES):
             s.blacklist[c] = rng.random() < 0.3
         assert (s.pick(list(q.entries), channel, 0)
-                is s.pick_banked(q.bank_buckets(), channel, 0))
+                is s.pick_banked(q.classes, channel, 0))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bliss_pr_partition(self, seed):
@@ -74,7 +77,7 @@ class TestPickEquivalence:
         s = BLISSScheduler(BLISSConfig(), NUM_CORES)
         naive = [a for a in q.entries if a.priority == Priority.PR]
         assert (s.pick(naive, channel, 0)
-                is s.pick_banked(q.pr_bank_buckets(), channel, 0))
+                is s.pick_banked(q.pr_only, channel, 0))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_frfcfs_full_queue(self, seed):
@@ -82,12 +85,12 @@ class TestPickEquivalence:
         q, channel = random_state(rng, rng.randrange(0, 65), writes=True)
         s = FRFCFSScheduler()
         assert (s.pick(list(q.entries), channel, 0)
-                is s.pick_banked(q.bank_buckets(), channel, 0))
+                is s.pick_banked(q.classes, channel, 0))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_drain_order_identical(self, seed):
         """Pick+remove until empty: the full issue order matches, which
-        also exercises swap-pop / bucket maintenance between picks."""
+        also exercises bucket maintenance between picks."""
         rng = random.Random(300 + seed)
         q, channel = random_state(rng, 40)
         naive_pool = list(q.entries)
@@ -99,10 +102,122 @@ class TestPickEquivalence:
             naive_pool.remove(a)
             order_naive.append(a)
         while q.entries:
-            a = s.pick_banked(q.bank_buckets(), channel, 0)
+            a = s.pick_banked(q.classes, channel, 0)
             q.remove(a)
             order_indexed.append(a)
         assert order_naive == order_indexed
+
+
+# -- union picks over several class maps: hypothesis lockstep -----------------
+
+_ORG = DRAMOrganization()
+_NBANKS = _ORG.ranks_per_channel * _ORG.banks_per_rank
+_R, _W = RequestType, AccessRole
+
+#: (role, request type, prefetch) of the accesses each queue can hold
+_QUEUE_KINDS = {
+    # CD's read queue: bus reads of every request type — PR and LR
+    "cd_read": ((_W.TAG_READ, _R.READ, False), (_W.DATA_READ, _R.READ, False),
+                (_W.TAG_READ, _R.WRITEBACK, False),
+                (_W.TAG_READ, _R.REFILL, False),
+                (_W.TAG_READ, _R.READ, True)),
+    # ROD's write queue: writeback/refill tag reads (LR) and all writes
+    "rod_write": ((_W.TAG_READ, _R.WRITEBACK, False),
+                  (_W.TAG_READ, _R.REFILL, False),
+                  (_W.DATA_READ, _R.WRITEBACK, False),
+                  (_W.DATA_WRITE, _R.WRITEBACK, False),
+                  (_W.TAG_WRITE, _R.REFILL, False),
+                  (_W.TAG_WRITE, _R.READ, False)),
+}
+
+#: queue operations: push (bank, row, core, kind) or pick-and-remove (None)
+_ops = st.lists(
+    st.one_of(st.none(),
+              st.tuples(st.integers(0, _NBANKS - 1), st.integers(0, 7),
+                        st.integers(0, NUM_CORES - 1), st.integers(0, 5))),
+    max_size=60)
+_open_rows = st.lists(st.integers(-1, 7), min_size=_NBANKS, max_size=_NBANKS)
+_blacklist = st.lists(st.booleans(), min_size=NUM_CORES, max_size=NUM_CORES)
+
+
+def _open(channel, open_rows):
+    t = 0
+    for b, row in enumerate(open_rows):
+        if row >= 0:
+            rank, bank = divmod(b, channel.org.banks_per_rank)
+            _s, t = channel.issue(rank, bank, row, False, t)
+
+
+def _access(kinds, gb, row, core, k, banks_per_rank, channel=0):
+    role, rtype, prefetch = kinds[k % len(kinds)]
+    rank, bank = divmod(gb % _NBANKS, banks_per_rank)
+    req = CacheRequest(rtype, 0, core, prefetch=prefetch)
+    return Access(role, req, channel, rank, bank, row, 0, gb, 0)
+
+
+class TestUnionPickLockstep:
+    """``pick_banked`` over a tuple of class maps picks what the naive
+    ``pick`` picks over ``entries``, after every push/remove."""
+
+    @pytest.mark.parametrize("queue", sorted(_QUEUE_KINDS))
+    @pytest.mark.parametrize("scheduler", ["bliss", "frfcfs"])
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_ops, open_rows=_open_rows, blacklist=_blacklist)
+    def test_queue_union_pick(self, queue, scheduler, ops, open_rows,
+                              blacklist):
+        channel = Channel(DRAMTimings.stacked(), _ORG)
+        _open(channel, open_rows)
+        if scheduler == "bliss":
+            s = BLISSScheduler(BLISSConfig(), NUM_CORES)
+            s.blacklist[:] = blacklist
+        else:
+            s = FRFCFSScheduler()
+        q = AccessQueue(64)
+        kinds = _QUEUE_KINDS[queue]
+        for op in ops:
+            if op is not None:
+                q.push(_access(kinds, *op, _ORG.banks_per_rank))
+                continue
+            naive = s.pick(q.entries, channel, 0)
+            assert s.pick_banked(q.classes, channel, 0) is naive
+            if naive is not None:
+                q.remove(naive)
+            q.check_invariants()
+        assert s.pick_banked(q.classes, channel, 0) is s.pick(
+            q.entries, channel, 0)
+
+    @pytest.mark.parametrize("scheduler", ["bliss", "frfcfs"])
+    @settings(max_examples=40, deadline=None)
+    @given(ops=_ops, open_rows=_open_rows, blacklist=_blacklist)
+    def test_dca_schedule_all(self, scheduler, ops, open_rows, blacklist):
+        """DCA's ScheduleAll slot picks from PR and LR together."""
+        base = scaled_config(8)
+        cfg = replace(base, dram_cache=replace(base.dram_cache,
+                                               size_bytes=4 * 2**20))
+        ctrl = make_controller("DCA", Simulator(), cfg, use_mapi=False,
+                               scheduler=scheduler)
+        channel = ctrl.device.channels[0]
+        nbanks = len(channel.banks)
+        bpr = ctrl.cfg.org.banks_per_rank
+        _open(channel, open_rows[:nbanks])
+        sched = ctrl.sched[0]
+        if scheduler == "bliss":
+            sched.blacklist[:] = blacklist[:len(sched.blacklist)]
+        ctrl.draining = True            # forces ScheduleAll on
+        rq = ctrl.read_q[0]
+        kinds = _QUEUE_KINDS["cd_read"]
+        for op in ops:
+            if op is not None:
+                gb, row, core, k = op
+                rq.push(_access(kinds, gb % nbanks, row,
+                                core % ctrl.cfg.num_cores, k, bpr))
+                continue
+            naive = sched.pick(rq.entries, channel, 0)
+            picked = ctrl._select(0)
+            assert ctrl.schedule_all[0]
+            assert (picked[0] if picked else None) is naive
+            if picked is not None:
+                rq.remove(picked[0])
 
 
 class TestOFSEquivalence:
@@ -143,7 +258,7 @@ class TestOFSEquivalence:
         # ... and the resulting pick is the same access.
         sched = ctrl.sched[0]
         assert (sched.pick(naive, channel, 0)
-                is sched.pick_banked(buckets, channel, 0))
+                is sched.pick_banked((buckets,), channel, 0))
 
 
 class TestScheduleAllHysteresis:
@@ -152,11 +267,12 @@ class TestScheduleAllHysteresis:
     landing exactly on a threshold changes nothing."""
 
     def build(self, tiny_cfg, capacity=20):
-        ctrl = make_controller("DCA", Simulator(), tiny_cfg, use_mapi=False)
-        # Replace channel 0's read queue with one whose capacity puts the
-        # 0.85 / 0.75 thresholds on representable occupancies:
-        # 17/20 == 0.85 exactly, 15/20 == 0.75 exactly.
-        ctrl.read_q[0] = AccessQueue(capacity)
+        # A read-queue capacity that puts the 0.85 / 0.75 thresholds on
+        # representable occupancies: 17/20 == 0.85 exactly, 15/20 == 0.75
+        # exactly.  The controller derives its length thresholds from it.
+        cfg = tiny_cfg.with_overrides({"queues.read_entries": capacity})
+        ctrl = make_controller("DCA", Simulator(), cfg, use_mapi=False)
+        assert ctrl.read_q[0].capacity == capacity
         assert ctrl.cfg.queues.lr_drain_high == pytest.approx(0.85)
         assert ctrl.cfg.queues.lr_drain_low == pytest.approx(0.75)
         return ctrl

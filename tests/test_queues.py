@@ -146,7 +146,8 @@ class TestIndexes:
             a = Access(AccessRole.TAG_READ, req, 0, 0, gb, 0, 0, gb, 0)
             accs.append(a)
             q.push(a)
-        buckets = q.bank_buckets()
+        buckets = q.pr_banks          # all five are PR-class tag reads
+        assert q.lr_banks == {} and q.write_banks == {}
         assert sorted(buckets) == [0, 3, 5]
         assert list(buckets[0]) == [accs[0], accs[1]]
         assert list(buckets[3]) == [accs[2], accs[4]]
@@ -157,12 +158,12 @@ class TestIndexes:
         a = mk()
         q.push(a)
         q.remove(a)
-        assert q.bank_buckets() == {}
-        assert q.pr_bank_buckets() == {}
+        assert q.classes == ({}, {}, {})
+        assert q.size == 0
         q.check_invariants()
 
     def test_swap_pop_keeps_indexes_consistent(self):
-        """Randomized push/remove churn; every index stays exact."""
+        """Randomized push/remove churn; the per-class layout stays exact."""
         import random
         rng = random.Random(42)
         q = AccessQueue(32)
@@ -182,6 +183,7 @@ class TestIndexes:
                 q.push(a, now=step)
             q.check_invariants()
         assert set(q.entries) == set(live)
+        assert q.entries == sorted(live, key=lambda a: a.seq)
 
     def test_views_match_entries(self):
         q = AccessQueue(16)
@@ -192,3 +194,32 @@ class TestIndexes:
                 == {a for a in q.entries if a.priority == Priority.PR})
         assert (set(q.low_priority_reads())
                 == {a for a in q.entries if a.priority == Priority.LR})
+
+    def test_classes_partition_by_priority(self):
+        """Each access sits in the bucket map of its own class only."""
+        q = AccessQueue(8)
+        pr = mk(rtype=RequestType.READ)
+        lr = mk(rtype=RequestType.REFILL)
+        wr = mk(role=AccessRole.DATA_WRITE)
+        for a in (wr, lr, pr):
+            q.push(a)
+        assert [list(b[0]) for b in q.classes] == [[pr], [lr], [wr]]
+        assert q.pr_only == (q.pr_banks,)
+        assert (q.size, q.pr_count, q.lr_count) == (3, 1, 1)
+        assert q.entries == [pr, lr, wr] == list(q)
+        q.check_invariants()
+
+    def test_check_invariants_catches_a_duplicate(self):
+        q = AccessQueue(4)
+        a = mk()
+        q.push(a)
+        q.pr_banks[0].add(a)           # corrupt: queued twice
+        with pytest.raises(AssertionError):
+            q.check_invariants()
+
+    def test_check_invariants_catches_a_stale_count(self):
+        q = AccessQueue(4)
+        q.push(mk(rtype=RequestType.WRITEBACK))
+        q.lr_count = 0                 # corrupt: counter disagrees
+        with pytest.raises(AssertionError):
+            q.check_invariants()

@@ -1,5 +1,8 @@
 """End-to-end system runs: cores + L2 + controller + memory."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import scaled_config
@@ -77,6 +80,21 @@ class TestWarmup:
         s.functional_warmup(replay_accesses=500)
         assert s.controller.array.lookups == 0
         assert s.l2.stats.accesses == 0
+
+    def test_warmup_frees_finished_systems(self):
+        """A finished system is cyclic garbage; the next system's warm-up
+        frees it, so a sweep's peak memory is about one system's state."""
+        done = small_system()
+        done.run(**RUN)
+        gc.disable()                   # no collection but the warm-up's
+        try:
+            alive = weakref.ref(done)
+            del done
+            assert alive() is not None     # cycles keep it until collected
+            small_system().functional_warmup(replay_accesses=500)
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_skipping_warmup_lowers_hit_rate(self):
         warm = small_system().run(**RUN)

@@ -100,7 +100,7 @@ class TestWarmForkBitIdentity:
 
     def test_capturing_run_also_equals_cold(self):
         """The donor run (the one that captures) must be unperturbed by
-        the copy-on-write freeze of its array."""
+        the capture, which copies its array columns out as ``bytes``."""
         spec = RunSpec("DCA", "sa", mix_id=1)
         captured = run_one(spec, PARAMS, warm_cache=WarmCache())
         cold = run_one(spec, PARAMS)
